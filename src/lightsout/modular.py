@@ -1,10 +1,9 @@
 """Exact linear algebra over the ring Z_ell (ell >= 2, not necessarily prime).
 
 Everything here works with plain Python integers reduced to [0, ell), so all
-results are exact.  The central tool is a diagonal decomposition
-M = U * D * V (mod ell) with U, V invertible and D diagonal, from which
-solvability, complete solution sets, and null-space generators follow
-coordinate-wise.
+results are exact.  The central tool is a diagonalisation u_inv*M*v_inv = D
+(mod ell) with invertible u_inv, v_inv and diagonal D, from which solvability,
+complete solution sets and null-space generators follow coordinate-wise.
 """
 
 from __future__ import annotations
@@ -16,11 +15,15 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 MAX_MODULUS = 2**31 - 1
 
 
+class AuditError(AssertionError):
+    """An internal self-check failed; raised, not asserted, so python -O keeps it."""
+
+
 def check_modulus(ell: int) -> int:
     """Validate a modulus and return it.
 
-    Moduli below 2 are rejected; the upper bound keeps any product of two
-    reduced residues inside a signed 64-bit integer.
+    Moduli below 2 are rejected.  The upper bound is a stated input limit, so
+    an absurd modulus fails cleanly (the command line exits with code 2).
     """
     if not isinstance(ell, int) or isinstance(ell, bool):
         raise ValueError(f"modulus must be an integer, got {ell!r}")
@@ -162,17 +165,14 @@ class ZModMatrix:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Decomposition M = U * D * V (mod ell).
+    """Diagonalisation u_inv * M * v_inv = D (mod ell).
 
-    U and V are invertible, D is diagonal.  Each nonzero diagonal entry is
-    normalized to gcd(d, ell), so it divides ell, and the nonzero entries form
-    a divisibility chain.  u_inv and v_inv cache the two-sided inverses of U
-    and V, which the solver needs.
+    u_inv and v_inv are invertible, D is diagonal.  Each nonzero diagonal
+    entry is normalized to gcd(d, ell), so it divides ell, and the nonzero
+    entries form a divisibility chain.
     """
 
-    U: ZModMatrix
     D: ZModMatrix
-    V: ZModMatrix
     u_inv: ZModMatrix
     v_inv: ZModMatrix
 
@@ -207,11 +207,10 @@ class SolutionSet:
 
 
 class _Reduction:
-    """Mutable worktable maintaining M = U * D * V with tracked inverses.
+    """Mutable worktable maintaining P * M * Q = D with P, Q invertible.
 
-    Row operations act as D <- E * D and update U <- U * E^-1, P <- E * P
-    (P = U^-1).  Column operations act as D <- D * F and update V <- F^-1 * V,
-    Q <- Q * F (Q = V^-1).  Every entry is reduced mod ell after each step.
+    Row operations act as D <- E * D, P <- E * P; column operations act as
+    D <- D * F, Q <- Q * F.  Every entry is reduced mod ell after each step.
     """
 
     def __init__(self, m: ZModMatrix):
@@ -219,9 +218,7 @@ class _Reduction:
         self.r = m.rows
         self.c = m.cols
         self.d = [list(m.row(i)) for i in range(m.rows)]
-        self.u = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
         self.p = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
-        self.v = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
         self.q = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
 
     def swap_rows(self, i: int, j: int) -> None:
@@ -229,11 +226,9 @@ class _Reduction:
             return
         self.d[i], self.d[j] = self.d[j], self.d[i]
         self.p[i], self.p[j] = self.p[j], self.p[i]
-        for row in self.u:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(self, i: int, j: int, coef: int) -> None:
-        """Row i of D gains coef * row j; U and P follow suit."""
+        """Row i of D gains coef * row j; P follows suit."""
         ell = self.ell
         di, dj = self.d[i], self.d[j]
         for t in range(self.c):
@@ -241,31 +236,25 @@ class _Reduction:
         pi, pj = self.p[i], self.p[j]
         for t in range(self.r):
             pi[t] = (pi[t] + coef * pj[t]) % ell
-        for row in self.u:
-            row[j] = (row[j] - coef * row[i]) % ell
 
     def swap_cols(self, i: int, j: int) -> None:
         if i == j:
             return
         for row in self.d:
             row[i], row[j] = row[j], row[i]
-        self.v[i], self.v[j] = self.v[j], self.v[i]
         for row in self.q:
             row[i], row[j] = row[j], row[i]
 
     def add_col(self, i: int, j: int, coef: int) -> None:
-        """Column i of D gains coef * column j; V and Q follow suit."""
+        """Column i of D gains coef * column j; Q follows suit."""
         ell = self.ell
         for row in self.d:
             row[i] = (row[i] + coef * row[j]) % ell
-        vi, vj = self.v[i], self.v[j]
-        for t in range(self.c):
-            vj[t] = (vj[t] - coef * vi[t]) % ell
         for row in self.q:
             row[i] = (row[i] + coef * row[j]) % ell
 
     def scale_diag_to_gcd(self, k: int) -> None:
-        """Replace d_k by gcd(d_k, ell), scaling column k of U by a unit."""
+        """Replace d_k by gcd(d_k, ell), scaling row k of P by a unit."""
         ell = self.ell
         d = self.d[k][k]
         if d == 0:
@@ -273,11 +262,8 @@ class _Reduction:
         g = math.gcd(d, ell)
         if d == g:
             return
-        u = unit_lift(d, g, ell)
-        u_inv = pow(u, -1, ell)
+        u_inv = pow(unit_lift(d, g, ell), -1, ell)
         self.d[k][k] = g
-        for row in self.u:
-            row[k] = (row[k] * u) % ell
         pk = self.p[k]
         for t in range(self.r):
             pk[t] = (pk[t] * u_inv) % ell
@@ -370,7 +356,7 @@ class _Reduction:
 
 
 def normal_form(m: ZModMatrix) -> NormalForm:
-    """Diagonalize m as U * D * V (mod ell) with invertible U, V.
+    """Diagonalize m as u_inv * m * v_inv = D (mod ell), both invertible.
 
     The pivot rule (smallest nonzero value, ties by row then column) makes
     the output deterministic for a fixed input.
@@ -384,9 +370,7 @@ def normal_form(m: ZModMatrix) -> NormalForm:
         return ZModMatrix(nrows, ncols, ell, [e for row in rows_list for e in row])
 
     return NormalForm(
-        U=build(work.u, work.r, work.r),
         D=build(work.d, work.r, work.c),
-        V=build(work.v, work.c, work.c),
         u_inv=build(work.p, work.r, work.r),
         v_inv=build(work.q, work.c, work.c),
     )
@@ -440,9 +424,9 @@ def solve(
 ) -> Optional[SolutionSet]:
     """Solve m x = c (mod ell); None when the system has no solution.
 
-    With M = U D V, the system becomes D y = U^-1 c with x = V^-1 y.  Each
-    coordinate equation d * y = c' (mod ell) with d | ell is solvable iff
-    d | c', contributing y = c'/d and a null generator of order ell/d.
+    With u_inv M v_inv = D, the system becomes D y = u_inv c with x = v_inv y.
+    Each coordinate equation d * y = c' (mod ell) with d | ell is solvable
+    iff d | c', contributing y = c'/d and a null generator of order ell/d.
     Pass a precomputed NormalForm to amortize repeated solves.
     """
     ell = m.modulus
@@ -490,7 +474,7 @@ def solve(
         if any(img):
             gens.append(img)
     if m.mul_vec(particular) != tuple(x % ell for x in c):
-        raise AssertionError("internal solver error: particular solution failed check")
+        raise AuditError("internal solver error: particular solution failed check")
     return SolutionSet(particular=particular, null_generators=tuple(gens), modulus=ell)
 
 
@@ -499,5 +483,6 @@ def nullspace(m: ZModMatrix) -> List[Tuple[int, ...]]:
     if not m.is_square:
         raise ValueError("nullspace requires a square matrix")
     sol = solve(m, [0] * m.rows)
-    assert sol is not None
+    if sol is None:
+        raise AuditError("homogeneous system reported unsolvable")
     return list(sol.null_generators)

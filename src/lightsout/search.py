@@ -18,6 +18,7 @@ result is independent of worker count and scheduling.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .graphs import (
     neighborhood_matrix,
     path_graph,
 )
-from .modular import check_modulus, det_int, normal_form
+from .modular import AuditError, check_modulus, det_int, normal_form
 
 RULE_ODD = "odd_n"
 RULE_EVEN_COPRIME = "even_n_coprime"
@@ -223,9 +224,8 @@ def _scan_chunk(args: Tuple[int, int, int, int, int, bool]) -> List[int]:
                 for j in combo:
                     mask |= 1 << (npairs - 1 - j)
                 winners.append(mask)
-        if step + 1 < count:
-            advanced = next_combination(combo, npairs)
-            assert advanced, "rank range overran the combination sequence"
+        if step + 1 < count and not next_combination(combo, npairs):
+            raise AuditError("rank range overran the combination sequence")
     return winners
 
 
@@ -239,10 +239,13 @@ def _scan_edge_count(
         (n, ell, e, start, min(CHUNK_RANKS, total - start), prune)
         for start in range(0, total, CHUNK_RANKS)
     ]
-    if jobs <= 1 or len(chunks) <= 1:
+    # The pool starts every worker up front, so never ask for more than
+    # can run at once or than there are chunks to hand out.
+    workers = min(jobs, os.cpu_count() or 1, len(chunks))
+    if workers <= 1:
         results = [_scan_chunk(chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, chunks))
     merged = set()
     for part in results:
@@ -320,7 +323,7 @@ def _canonical_reps_of_closed_set(n: int, masks: Sequence[int]) -> List[int]:
     for the full labeled winner list at a fixed edge count).  Repeatedly
     taking the minimal remaining mask and deleting its orbit then yields
     exactly the lexicographically least member of each class; both facts
-    are asserted.
+    are checked, raising AuditError.
     """
     npairs = math.comb(n, 2)
     pmaps = _pair_permutation_maps(n)
@@ -329,8 +332,10 @@ def _canonical_reps_of_closed_set(n: int, masks: Sequence[int]) -> List[int]:
     while remaining:
         best = min(remaining)
         orbit = {_apply_pair_map(best, pmap, npairs) for pmap in pmaps}
-        assert min(orbit) == best, "minimal mask was not canonical"
-        assert orbit <= remaining, "winner set not closed under relabeling"
+        if min(orbit) != best:
+            raise AuditError("minimal mask was not canonical")
+        if not orbit <= remaining:
+            raise AuditError("winner set not closed under relabeling")
         remaining -= orbit
         reps.append(best)
     return reps
@@ -421,32 +426,31 @@ def max_size_search(
             f"no always-winnable graph found with complement size <= {e_stop};"
             " raise the cap"
         )
-    assert found_e <= n - 1, (
-        f"winner first appeared at complement size {found_e} > n - 1,"
-        " above the pendant-tree guarantee"
-    )
+    if found_e > n - 1:
+        raise AuditError(
+            f"winner first appeared at complement size {found_e} > n - 1,"
+            " above the pendant-tree guarantee"
+        )
     max_size = npairs - found_e
 
     full = (1 << npairs) - 1
     rep_masks = _canonical_reps_of_closed_set(n, [full ^ w for w in winners])
     rep_graphs = [_graph_from_mask(n, mask) for mask in rep_masks]
     for g in rep_graphs:
-        assert g.num_edges() == max_size, "representative has wrong size"
+        if g.num_edges() != max_size:
+            raise AuditError("representative has wrong size")
         nf = normal_form(neighborhood_matrix(g, ell))
-        assert all(math.gcd(d, ell) == 1 for d in nf.D.diag()), (
-            "determinant and diagonalization disagree on a winner"
-        )
+        if any(math.gcd(d, ell) != 1 for d in nf.D.diag()):
+            raise AuditError("determinant and diagonalization disagree on a winner")
 
     conj = conjectured_max(n, ell)
     if n % 2 == 0 and ell % 2 == 0:
         witness = pendant_lower_bound_witness(n, conj.k or 0)
         wnf = normal_form(neighborhood_matrix(complement(witness), ell))
-        assert all(math.gcd(d, ell) == 1 for d in wnf.D.diag()), (
-            "pendant lower-bound witness is not N-AW"
-        )
-        assert npairs - witness.num_edges() == conj.size, (
-            "pendant lower-bound witness has the wrong size"
-        )
+        if any(math.gcd(d, ell) != 1 for d in wnf.D.diag()):
+            raise AuditError("pendant lower-bound witness is not N-AW")
+        if npairs - witness.num_edges() != conj.size:
+            raise AuditError("pendant lower-bound witness has the wrong size")
 
     if bounded_cap is not None:
         method = f"bounded({bounded_cap})"

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lightsout.modular as modular_mod
 from lightsout.modular import (
     MAX_MODULUS,
+    AuditError,
     ZModMatrix,
     check_modulus,
     det_int,
@@ -219,8 +221,8 @@ class TestNormalForm:
     def test_already_diagonal(self):
         nf = normal_form(ZModMatrix.diagonal([2, 2], modulus=4))
         assert nf.D.to_rows() == [[2, 0], [0, 2]]
-        assert nf.U == ZModMatrix.identity(2, 4)
-        assert nf.V == ZModMatrix.identity(2, 4)
+        assert nf.u_inv == ZModMatrix.identity(2, 4)
+        assert nf.v_inv == ZModMatrix.identity(2, 4)
 
     def test_identity_case(self):
         nf = normal_form(ZModMatrix.identity(3, 7))
@@ -238,13 +240,12 @@ class TestNormalForm:
         for _ in range(20):
             m = ZModMatrix(r, c, ell, [rng.randrange(ell) for _ in range(r * c)])
             nf = normal_form(m)
-            assert nf.U @ nf.D @ nf.V == m, f"round trip failed for {m!r}"
-            assert is_invertible(nf.U), f"U not invertible for {m!r}"
-            assert is_invertible(nf.V), f"V not invertible for {m!r}"
-            ident_r = ZModMatrix.identity(r, ell)
-            ident_c = ZModMatrix.identity(c, ell)
-            assert nf.U @ nf.u_inv == ident_r and nf.u_inv @ nf.U == ident_r
-            assert nf.V @ nf.v_inv == ident_c and nf.v_inv @ nf.V == ident_c
+            # Invertible P, Q with P m Q = D hold exactly when
+            # m = P^-1 D Q^-1; invertibility goes through the determinant,
+            # a route independent of normal_form.
+            assert nf.u_inv @ m @ nf.v_inv == nf.D, f"round trip failed for {m!r}"
+            assert is_invertible(nf.u_inv), f"u_inv not invertible for {m!r}"
+            assert is_invertible(nf.v_inv), f"v_inv not invertible for {m!r}"
             for i in range(r):
                 for j in range(c):
                     if i != j:
@@ -267,7 +268,7 @@ class TestNormalForm:
             m = random_square(rng, 4, 12)
             a = normal_form(m)
             b = normal_form(m)
-            assert (a.U, a.D, a.V) == (b.U, b.D, b.V)
+            assert (a.u_inv, a.D, a.v_inv) == (b.u_inv, b.D, b.v_inv)
 
 
 class TestSolve:
@@ -365,6 +366,11 @@ class TestNullspace:
                 assert m.mul_vec(g) == (0, 0, 0, 0)
                 assert any(g), "zero vectors must be filtered out"
 
+    def test_unsolvable_homogeneous_system_is_an_audit_error(self, monkeypatch):
+        monkeypatch.setattr(modular_mod, "solve", lambda m, c: None)
+        with pytest.raises(AuditError):
+            nullspace(ZModMatrix.identity(2, 3))
+
 
 @st.composite
 def matrix_and_target(draw):
@@ -392,4 +398,5 @@ def test_solve_agrees_with_enumeration(case):
 def test_normal_form_round_trip_property(case):
     m, _ = case
     nf = normal_form(m)
-    assert nf.U @ nf.D @ nf.V == m
+    assert nf.u_inv @ m @ nf.v_inv == nf.D
+    assert is_invertible(nf.u_inv) and is_invertible(nf.v_inv)

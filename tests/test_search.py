@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import lightsout
+import lightsout.search as search_mod
 from lightsout.graphs import (
     Graph,
     complement,
@@ -24,7 +31,7 @@ from lightsout.graphs import (
     path_graph,
     star_graph,
 )
-from lightsout.modular import is_invertible
+from lightsout.modular import AuditError, ZModMatrix, is_invertible
 from lightsout.search import (
     CONJECTURED,
     PROVEN,
@@ -374,11 +381,92 @@ class TestDeterminism:
         sliced = max_size_search(6, 5, jobs=2)
         assert json.dumps(base.to_json()) == json.dumps(sliced.to_json())
 
+    @pytest.mark.parametrize(
+        "cpus, expected", [(4, [4]), (16, [5]), (1, []), (None, [])]
+    )
+    def test_pool_capped_by_cpus_and_chunks(self, monkeypatch, cpus, expected):
+        requested = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor; runs chunks in-process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        serial = search_mod._scan_edge_count(6, 5, 3, True, 1)
+        monkeypatch.setattr(search_mod, "CHUNK_RANKS", 97)  # C(15, 3) = 455: 5 chunks
+        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
+        assert search_mod._scan_edge_count(6, 5, 3, True, 1000) == serial
+        assert requested == expected
+
     def test_timing_left_out_of_default_payload(self):
         report = max_size_search(4, 2)
         assert "elapsed_ms" not in report.to_json()
         assert "elapsed_ms" in report.to_json(include_timing=True)
         assert report.elapsed_ms > 0
+
+
+class TestAudits:
+    def test_audit_error_is_an_assertion_error(self):
+        assert issubclass(AuditError, AssertionError)
+        assert lightsout.AuditError is AuditError
+
+    def test_diagonal_disagreement_raises(self, monkeypatch):
+        real = search_mod.normal_form
+
+        def broken(m):
+            # A zero diagonal makes every determinant survivor look non-N-AW.
+            zero = ZModMatrix(m.rows, m.cols, m.modulus, [0] * (m.rows * m.cols))
+            return dataclasses.replace(real(m), D=zero)
+
+        monkeypatch.setattr(search_mod, "normal_form", broken)
+        with pytest.raises(AuditError, match="disagree on a winner"):
+            max_size_search(6, 5)
+
+    def test_diagonal_disagreement_raises_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            import dataclasses, sys
+            import lightsout.search as search_mod
+            from lightsout.modular import AuditError, ZModMatrix
+
+            assert False, "asserts must be stripped under -O"
+            real = search_mod.normal_form
+
+            def broken(m):
+                zero = ZModMatrix(m.rows, m.cols, m.modulus, [0] * (m.rows * m.cols))
+                return dataclasses.replace(real(m), D=zero)
+
+            search_mod.normal_form = broken
+            try:
+                search_mod.max_size_search(6, 5)
+            except AuditError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(lightsout.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "disagree on a winner" in done.stdout
 
 
 class TestVerifyConjecture:

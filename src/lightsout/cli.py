@@ -39,6 +39,8 @@ SCHEMA_VERSION = 1
 
 JOBS_ENV_VAR = "LIGHTSOUT_JOBS"
 
+MAX_MATRIX_DIM = 400
+
 
 class UsageError(ValueError):
     """Bad flags or malformed inputs; maps to exit code 2."""
@@ -73,7 +75,14 @@ def parse_int_list(text: str) -> List[int]:
 
 
 def parse_matrix_file(path: str, ell: int) -> ZModMatrix:
-    """Whitespace- or comma-separated integer rows, one row per line."""
+    """Whitespace- or comma-separated integer rows, one row per line.
+
+    Input limit: at most MAX_MATRIX_DIM rows and columns, else UsageError
+    (exit 2).  Diagonalisation is pure Python and cubic in the size: a
+    dense 100x100 matrix mod 30 (the largest board in the benchmark is
+    100x100) takes about 0.3 s and a 400x400 one about 14 s (Python 3.11,
+    one core of a 2-vCPU VM).
+    """
     rows: List[List[int]] = []
     with open(path) as fh:
         for line in fh:
@@ -81,6 +90,10 @@ def parse_matrix_file(path: str, ell: int) -> ZModMatrix:
             if not line or line.startswith("#"):
                 continue
             rows.append([int(tok) for tok in line.replace(",", " ").split()])
+            if len(rows) > MAX_MATRIX_DIM or len(rows[-1]) > MAX_MATRIX_DIM:
+                raise UsageError(
+                    f"matrix file {path} exceeds {MAX_MATRIX_DIM} rows or columns"
+                )
     if not rows:
         raise UsageError(f"matrix file {path} has no rows")
     return ZModMatrix.from_rows(rows, ell)

@@ -26,7 +26,7 @@ from .graphs import (
     neighborhood_matrix,
     path_graph,
 )
-from .modular import check_modulus, normal_form
+from .modular import AuditError, check_modulus, normal_form
 from .toggling import ToggleCoset, minimal_nonempty_r, toggling_numbers
 
 
@@ -349,7 +349,8 @@ def pendantremove_conditions(
     scan = minimal_nonempty_r(mat, range(g.n))
     r = scan if scan else ell
     t_coset = toggling_numbers(mat, range(g.n), r % ell, nf=nf)
-    assert not t_coset.empty
+    if t_coset.empty:
+        raise AuditError("toggling set at the minimal non-empty shift is empty")
     t = t_coset.base
     zero_coset = toggling_numbers(mat, range(g.n), 0, nf=nf)
     null_sums = zero_coset.members()
@@ -464,7 +465,8 @@ def extswitch_valid(
             direct=direct_after,
         )
     )
-    assert complement(switched).num_edges() > complement(g).num_edges()
+    if complement(switched).num_edges() <= complement(g).num_edges():
+        raise AuditError("switched complement is not strictly larger")
     return True
 
 

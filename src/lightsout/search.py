@@ -22,8 +22,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphs import (
     Graph,
@@ -49,7 +48,8 @@ PROVEN = "PROVEN"
 CONJECTURED = "CONJECTURED"
 
 # Full labeled enumeration is quadratic-exponential in n; past this order
-# the caller must supply a complement-edge cap.
+# the caller must supply a complement-edge cap.  It also bounds
+# canonical_adjacency_bits, since an asymmetric graph has n! relabelings.
 FULL_ENUMERATION_MAX_N = 10
 
 # Ranks per work unit.  Fixed (never derived from the worker count) so
@@ -262,41 +262,41 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _pair_permutation_maps(n: int) -> List[List[int]]:
-    """For each vertex permutation, the induced map on pair indices."""
+def _orbit(n: int, mask: int) -> Set[int]:
+    """Every relabeling of a pair mask, in time proportional to their number.
+
+    The transposition (0 1) and the cycle (0 1 ... n-1) generate all vertex
+    permutations, so closing {mask} under their pair maps gives the orbit.
+    """
+    if n <= 1:
+        return {mask}
     pairs = _pairs(n)
-    index = {pair: j for j, pair in enumerate(pairs)}
-    maps = []
-    for perm in permutations(range(n)):
-        maps.append(
-            [
-                index[
-                    (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                ]
-                for u, v in pairs
-            ]
-        )
-    return maps
-
-
-def _apply_pair_map(mask: int, pmap: Sequence[int], npairs: int) -> int:
-    out = 0
-    for j in range(npairs):
-        if mask >> (npairs - 1 - j) & 1:
-            out |= 1 << (npairs - 1 - pmap[j])
-    return out
+    bit = {pair: len(pairs) - 1 - j for j, pair in enumerate(pairs)}
+    # (bit of a pair, bit of its image) under each generator.
+    gens = [
+        [(bit[u, v], bit[min(p[u], p[v]), max(p[u], p[v])]) for u, v in pairs]
+        for p in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0])
+    ]
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        current = todo.pop()
+        for gen in gens:
+            image = sum(1 << dst for src, dst in gen if current >> src & 1)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def canonical_adjacency_bits(g: Graph) -> int:
-    """Lexicographically least adjacency bits over all vertex relabelings."""
+    """Lexicographically least adjacency bits over all vertex relabelings.
+
+    The cost is proportional to g's orbit size, n! for an asymmetric graph.
+    """
     if g.n > FULL_ENUMERATION_MAX_N:
         raise ValueError(f"canonical form limited to n <= {FULL_ENUMERATION_MAX_N}")
-    npairs = math.comb(g.n, 2)
-    bits = g.adjacency_bits()
-    return min(
-        _apply_pair_map(bits, pmap, npairs)
-        for pmap in _pair_permutation_maps(g.n)
-    )
+    return min(_orbit(g.n, g.adjacency_bits()))
 
 
 def dedup_isomorphism(graphs: Sequence[Graph]) -> List[Graph]:
@@ -323,15 +323,14 @@ def _canonical_reps_of_closed_set(n: int, masks: Sequence[int]) -> List[int]:
     for the full labeled winner list at a fixed edge count).  Repeatedly
     taking the minimal remaining mask and deleting its orbit then yields
     exactly the lexicographically least member of each class; both facts
-    are checked, raising AuditError.
+    are checked, raising AuditError.  The cost is proportional to the
+    total orbit size, which is len(masks) for a closed input.
     """
-    npairs = math.comb(n, 2)
-    pmaps = _pair_permutation_maps(n)
     remaining = set(masks)
     reps: List[int] = []
     while remaining:
         best = min(remaining)
-        orbit = {_apply_pair_map(best, pmap, npairs) for pmap in pmaps}
+        orbit = _orbit(n, best)
         if min(orbit) != best:
             raise AuditError("minimal mask was not canonical")
         if not orbit <= remaining:

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from lightsout.cli import (
+    MAX_MATRIX_DIM,
     main,
     parse_graph,
     parse_int_list,
@@ -192,6 +193,29 @@ class TestWinnableCommand:
             ["winnable", "--game", f"matrix:{path}", "--modulus", "7"],
         )
         assert code == 2 and "square" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1\n" * (MAX_MATRIX_DIM + 1),
+            " ".join(["1"] * (MAX_MATRIX_DIM + 1)) + "\n",
+        ],
+        ids=["rows", "columns"],
+    )
+    def test_oversized_matrix_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, report, err = run_cli(
+            capsys,
+            ["winnable", "--game", f"matrix:{path}", "--modulus", "7"],
+        )
+        assert code == 2 and report is None
+        assert f"exceeds {MAX_MATRIX_DIM} rows or columns" in err
+
+    def test_largest_matrix_accepted(self, tmp_path):
+        path = tmp_path / "edge.txt"
+        path.write_text("1\n" * MAX_MATRIX_DIM)
+        assert parse_matrix_file(str(path), 7).rows == MAX_MATRIX_DIM
 
 
 class TestTogglingCommand:

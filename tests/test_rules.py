@@ -5,10 +5,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import lightsout
+import lightsout.rules as rules_mod
 from lightsout.game import is_AW
 from lightsout.graphs import (
     Graph,
@@ -21,6 +27,7 @@ from lightsout.graphs import (
     neighborhood_matrix,
     path_graph,
 )
+from lightsout.modular import AuditError
 from lightsout.rules import (
     PathViolation,
     ReductionOutcome,
@@ -37,6 +44,7 @@ from lightsout.rules import (
     pendantremove_dompen,
     subsetjoinaw_check,
 )
+from lightsout.toggling import ToggleCoset
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -277,6 +285,14 @@ class TestPendantRemoveConditions:
         assert not res.exhaustive
         assert res.agree
 
+    def test_empty_toggling_set_raises(self, monkeypatch):
+        def empty(m, u_set, r, nf=None):
+            return ToggleCoset.empty_set(m.modulus)
+
+        monkeypatch.setattr(rules_mod, "toggling_numbers", empty)
+        with pytest.raises(AuditError, match="toggling set"):
+            pendantremove_conditions(named_graph("path4"), 0, 5)
+
 
 class TestExtdomFilter:
     def test_p3_plus_isolated_excluded(self):
@@ -337,6 +353,45 @@ class TestExtswitch:
         g = disjoint_union(cycle_graph(4), cycle_graph(4))
         with pytest.raises(ValueError):
             extswitch_valid(g, [0, 1, 2, 3], cycle_graph(4), 4)
+
+    def test_unchanged_complement_size_raises(self, monkeypatch):
+        # A switch that hands back the host leaves the complement size
+        # unchanged while both direct verdicts still agree.
+        g = disjoint_union(named_graph("G1"), path_graph(2))
+        monkeypatch.setattr(rules_mod, "disjoint_union", lambda rest, rep: g)
+        with pytest.raises(AuditError, match="not strictly larger"):
+            extswitch_valid(g, [0, 1, 2, 3], path_graph(4), 4)
+
+    def test_unchanged_complement_size_raises_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import lightsout.rules as rules_mod
+            from lightsout.graphs import disjoint_union, named_graph, path_graph
+            from lightsout.modular import AuditError
+
+            assert False, "asserts must be stripped under -O"
+            g = disjoint_union(named_graph("G1"), path_graph(2))
+            rules_mod.disjoint_union = lambda rest, rep: g
+            try:
+                rules_mod.extswitch_valid(g, [0, 1, 2, 3], path_graph(4), 4)
+            except AuditError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(lightsout.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "not strictly larger" in done.stdout
 
 
 class TestNotswin:

@@ -202,16 +202,62 @@ class TestDedup:
             )
 
     def test_canonical_bits_minimal_over_small_orbit(self):
-        g = path_graph(4)
-        bits = {
-            g.relabel(list(p)).adjacency_bits()
-            for p in itertools.permutations(range(4))
-        }
-        assert canonical_adjacency_bits(g) == min(bits)
+        # Brute force over all n! permutations is the oracle for _orbit.
+        rng = random.Random(3)
+        graphs = [path_graph(4)]
+        for n in range(1, 8):
+            for _ in range(3 if n == 7 else 6):
+                density = rng.random()
+                graphs.append(
+                    Graph.from_edges(
+                        n,
+                        [
+                            (u, v)
+                            for u in range(n)
+                            for v in range(u + 1, n)
+                            if rng.random() < density
+                        ],
+                    )
+                )
+        for g in graphs:
+            bits = {
+                g.relabel(list(p)).adjacency_bits()
+                for p in itertools.permutations(range(g.n))
+            }
+            assert search_mod._orbit(g.n, g.adjacency_bits()) == bits
+            assert canonical_adjacency_bits(g) == min(bits)
 
     def test_large_order_rejected(self):
         with pytest.raises(ValueError):
             canonical_adjacency_bits(Graph(11, [0] * 11))
+
+
+class TestClosedSetReps:
+    @staticmethod
+    def path4_orbit():
+        g = path_graph(4)
+        return sorted(
+            {
+                g.relabel(list(p)).adjacency_bits()
+                for p in itertools.permutations(range(4))
+            }
+        )
+
+    def test_single_edges_on_twelve_vertices(self):
+        masks = [1 << j for j in range(66)]
+        assert search_mod._canonical_reps_of_closed_set(12, masks) == [1]
+
+    def test_missing_relabeling_raises(self):
+        masks = self.path4_orbit()
+        del masks[-1]
+        with pytest.raises(AuditError, match="not closed under relabeling"):
+            search_mod._canonical_reps_of_closed_set(4, masks)
+
+    def test_missing_minimum_raises(self):
+        masks = self.path4_orbit()
+        del masks[0]
+        with pytest.raises(AuditError, match="not canonical"):
+            search_mod._canonical_reps_of_closed_set(4, masks)
 
 
 class TestSearchAgainstBruteForce:

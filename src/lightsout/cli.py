@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .game import is_AW, winnable
 from .graphs import (
+    GRAPH6_MAX_N,
     Graph,
     adjacency_matrix,
     find_M_twins,
@@ -47,7 +48,12 @@ class UsageError(ValueError):
 
 
 def parse_graph(spec: str) -> Graph:
-    """Accept g6:STRING, edges:N:u-v,..., or a constructor name."""
+    """Accept g6:STRING, edges:N:u-v,..., or a constructor name.
+
+    Input limit: an edge list has at most GRAPH6_MAX_N vertices, else
+    UsageError (exit 2), checked before any matrix is built.  Reports
+    carry the graph's graph6 string, whose short form stops there.
+    """
     if spec.startswith("g6:"):
         return graph6_decode(spec[len("g6:"):])
     if spec.startswith("edges:"):
@@ -57,6 +63,10 @@ def parse_graph(spec: str) -> Graph:
                 "edge lists look like edges:N:u-v,u-v (edges:3: is empty)"
             )
         n = int(parts[1])
+        if n > GRAPH6_MAX_N:
+            raise UsageError(
+                f"edge lists are limited to {GRAPH6_MAX_N} vertices, got {n}"
+            )
         edges: List[Tuple[int, int]] = []
         if parts[2]:
             for chunk in parts[2].split(","):
@@ -239,6 +249,12 @@ def cmd_maxsize(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"{JOBS_ENV_VAR}={raw!r} is not an integer")
     _note(f"searching n={args.n} mod {args.modulus} with {jobs} job(s)")
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        _note(
+            f"--jobs {jobs} exceeds the {cpus} CPU(s);"
+            f" at most {cpus} worker(s) will run"
+        )
     try:
         report = max_size_search(
             args.n,

@@ -13,6 +13,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .modular import ZModMatrix, check_modulus
 
+# Largest order the short graph6 form (one size byte) can encode.
+GRAPH6_MAX_N = 62
+
 
 class Graph:
     """Immutable simple graph stored as one adjacency bitmask per vertex."""
@@ -329,9 +332,9 @@ def is_pendant_graph(g: Graph) -> Tuple[bool, Optional[Tuple[int, ...]]]:
 
 
 def graph6_encode(g: Graph) -> str:
-    """Standard short-form graph6 string for n <= 62."""
-    if g.n > 62:
-        raise ValueError(f"short graph6 form supports n <= 62, got {g.n}")
+    """Standard short-form graph6 string for n <= GRAPH6_MAX_N."""
+    if g.n > GRAPH6_MAX_N:
+        raise ValueError(f"short graph6 form supports n <= {GRAPH6_MAX_N}, got {g.n}")
     bits = []
     for v in range(1, g.n):
         for u in range(v):
@@ -355,8 +358,8 @@ def graph6_decode(text: str) -> Graph:
         if not (63 <= ord(ch) <= 126):
             raise ValueError(f"invalid graph6 byte: {ch!r}")
     n = ord(text[0]) - 63
-    if n > 62:
-        raise ValueError("long-form graph6 (n > 62) is not supported")
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"long-form graph6 (n > {GRAPH6_MAX_N}) is not supported")
     nbits = n * (n - 1) // 2
     expected = 1 + (nbits + 5) // 6
     if len(text) != expected:

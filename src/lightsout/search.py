@@ -8,9 +8,14 @@ increasing order and stopping at the first count that admits an N-AW
 complement therefore finds the maximum and every labeled graph achieving
 it.
 
-Candidates are tested with an exact integer determinant; the surviving
-canonical representatives are re-verified through the diagonalization
-route so the two invertibility criteria audit each other.  Work is split
+Each candidate complement B is tested with the exact integer determinant
+of G's neighborhood matrix J - B, factored over the components of B by
+the matrix determinant lemma (see _complement_det).  The components are
+small and repeat across candidates, so their terms are memoised; a
+candidate with two vertices of equal neighborhood in B (twins in G) is
+skipped with no determinant at all.  The surviving canonical
+representatives are re-verified through the diagonalization route, so
+the two invertibility criteria still audit each other.  Work is split
 into fixed-size rank ranges of the combination sequence, so the merged
 result is independent of worker count and scheduling.
 """
@@ -184,13 +189,106 @@ def next_combination(combo: List[int], n_items: int) -> bool:
     return False
 
 
+Edges = Tuple[Tuple[int, int], ...]
+# (k, local edges) of a component -> [d, s], s filled in on first need.
+ComponentMemo = Dict[Tuple[int, Edges], List[Optional[int]]]
+
+
+def _shifted_rows(k: int, edges: Sequence[Tuple[int, int]], t: int) -> List[List[int]]:
+    """Rows of t*J - C for the graph C on vertices 0..k-1 with these edges."""
+    rows = [[t] * k for _ in range(k)]
+    for u, v in edges:
+        rows[u][v] = rows[v][u] = t - 1
+    return rows
+
+
+def _component_s(
+    key: Optional[Tuple[int, Edges]], terms: List[Optional[int]]
+) -> int:
+    """s = 1^T adj(-C) 1 = det(J - C) - det(-C), by the determinant lemma."""
+    if terms[1] is None:
+        terms[1] = det_int(_shifted_rows(*key, 1)) - terms[0]
+    return terms[1]
+
+
+def _complement_det(
+    n: int, edges: Sequence[Tuple[int, int]], memo: ComponentMemo
+) -> int:
+    """det(J - B) for the complement B on n vertices with the given edges.
+
+    edges must be (u, v) pairs with u < v in lexicographic order.  With
+    d_i = det(-C_i) and s_i = 1^T adj(-C_i) 1 over the components C_i of B,
+    the matrix determinant lemma gives
+
+        det(J - B) = prod_i d_i + sum_i s_i prod_{j != i} d_j,
+
+    so two components with d_i = 0 make it 0, and with one such component
+    only its s_i is needed.  Each component is relabeled to 0..k-1 in
+    vertex order and memoised under (k, local edges), d_i on first sight
+    and s_i on first need; an isolated vertex has (d, s) = (0, 1).  A B
+    connected on all n vertices (a spanning tree at e = n - 1) rarely
+    repeats, so it gets one direct det_int and no memo entry.
+    """
+    # Union-find that always hangs the larger root under the smaller, so a
+    # vertex's parent never exceeds it and one ascending pass flattens it.
+    root = list(range(n))
+    for u, v in edges:
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u < v:
+            root[v] = u
+        elif v < u:
+            root[u] = v
+    for x in range(n):
+        root[x] = root[root[x]]
+    if not any(root):
+        return det_int(_shifted_rows(n, edges, 1))
+    members: Dict[int, List[int]] = {}
+    for x in range(n):
+        members.setdefault(root[x], []).append(x)
+    component_edges: Dict[int, List[Tuple[int, int]]] = {}
+    for u, v in edges:
+        component_edges.setdefault(root[u], []).append((u, v))
+    parts: List[Tuple[Tuple[int, Edges], List[Optional[int]]]] = []
+    prod = 1  # product of the nonzero d_i
+    zero = None  # the one part with d_i = 0, if any
+    for r, verts in members.items():
+        if len(verts) == 1:
+            key, terms = None, [0, 1]
+        else:
+            local = {x: i for i, x in enumerate(verts)}
+            local_edges = [(local[u], local[v]) for u, v in component_edges[r]]
+            key = (len(verts), tuple(local_edges))
+            terms = memo.get(key)
+            if terms is None:
+                terms = memo[key] = [det_int(_shifted_rows(*key, 0)), None]
+        if terms[0]:
+            prod *= terms[0]
+            parts.append((key, terms))
+        elif zero is None:
+            zero = (key, terms)
+        else:
+            return 0
+    if zero is not None:
+        return _component_s(*zero) * prod
+    return prod + sum(_component_s(*part) * (prod // part[1][0]) for part in parts)
+
+
 def _scan_chunk(args: Tuple[int, int, int, int, int, bool]) -> List[int]:
     """Test one rank range of complement candidates; return winner masks.
 
     Each mask packs the complement's pair indicators with pair (0,1)
     most significant, matching Graph.adjacency_bits.  A candidate wins
-    when the complementary graph's neighborhood matrix has determinant
-    coprime to the modulus.
+    when the complementary graph's neighborhood matrix J - B has
+    determinant coprime to the modulus.  Two vertices with the same
+    neighborhood in B (most often two isolated ones) have the same closed
+    neighborhood in G, so J - B has two equal rows and determinant 0; such
+    candidates are skipped without a determinant.  The rest go through
+    _complement_det, whose component memo lives for this call only, so
+    results cannot depend on how ranks are split among workers.
+    max_size_search still audits the survivors through normal_form.
     """
     n, ell, e, start, count, prune = args
     pairs = _pairs(n)
@@ -200,30 +298,22 @@ def _scan_chunk(args: Tuple[int, int, int, int, int, bool]) -> List[int]:
     cap = t + 1
     use_prune = prune and n % 2 == 0 and t >= 1
     winners: List[int] = []
-    deg = [0] * n
+    memo: ComponentMemo = {}
     for step in range(count):
-        skip = False
-        if use_prune:
-            for i in range(n):
-                deg[i] = 0
+        edges = [pairs[j] for j in combo]
+        nbrs = [0] * n
+        for u, v in edges:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        if (
+            not (use_prune and max(map(int.bit_count, nbrs)) > cap)
+            and len(set(nbrs)) == n
+            and math.gcd(_complement_det(n, edges, memo) % ell, ell) == 1
+        ):
+            mask = 0
             for j in combo:
-                u, v = pairs[j]
-                deg[u] += 1
-                deg[v] += 1
-                if deg[u] > cap or deg[v] > cap:
-                    skip = True
-                    break
-        if not skip:
-            rows = [[1] * n for _ in range(n)]
-            for j in combo:
-                u, v = pairs[j]
-                rows[u][v] = 0
-                rows[v][u] = 0
-            if math.gcd(det_int(rows) % ell, ell) == 1:
-                mask = 0
-                for j in combo:
-                    mask |= 1 << (npairs - 1 - j)
-                winners.append(mask)
+                mask |= 1 << (npairs - 1 - j)
+            winners.append(mask)
         if step + 1 < count and not next_combination(combo, npairs):
             raise AuditError("rank range overran the combination sequence")
     return winners

@@ -4,8 +4,13 @@ report determinism across worker counts."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import lightsout
 
 from lightsout.cli import (
     MAX_MATRIX_DIM,
@@ -15,6 +20,7 @@ from lightsout.cli import (
     parse_matrix_file,
 )
 from lightsout.graphs import (
+    GRAPH6_MAX_N,
     graph6_encode,
     named_graph,
     neighborhood_matrix,
@@ -49,6 +55,17 @@ class TestParsing:
     def test_bad_edge_chunk(self):
         with pytest.raises(ValueError, match="u-v"):
             parse_graph("edges:3:01")
+
+    def test_largest_edge_list_accepted(self):
+        g = parse_graph(f"edges:{GRAPH6_MAX_N}:0-{GRAPH6_MAX_N - 1}")
+        assert g.n == GRAPH6_MAX_N == 62 and g.num_edges() == 1
+
+    def test_oversized_edge_list_rejected(self, capsys):
+        code, report, err = run_cli(
+            capsys, ["winnable", "--graph", "edges:63:", "--modulus", "2"]
+        )
+        assert code == 2 and report is None
+        assert "edge lists are limited to 62 vertices, got 63" in err
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown graph name"):
@@ -329,6 +346,19 @@ class TestMaxsizeCommand:
         second = capsys.readouterr().out
         assert first == second, "reports must not depend on --jobs"
 
+    def test_cpu_cap_noted_on_stderr(self, capsys, monkeypatch):
+        # One CPU keeps the search in-process, so no worker starts.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        argv = ["maxsize", "--n", "6", "--modulus", "30"]
+        main(argv + ["--jobs", "1"])
+        lone = capsys.readouterr()
+        main(argv + ["--jobs", "4"])
+        capped = capsys.readouterr()
+        assert capped.out == lone.out
+        note = "--jobs 4 exceeds the 1 CPU(s); at most 1 worker(s) will run"
+        assert note in capped.err
+        assert "CPU(s)" not in lone.err
+
     def test_env_var_jobs(self, capsys, monkeypatch):
         main(["maxsize", "--n", "4", "--modulus", "6"])
         first = capsys.readouterr().out
@@ -398,3 +428,19 @@ class TestVerifyCommand:
     def test_report_round_trips(self, capsys):
         _, report, _ = run_cli(capsys, ["verify", "--suite", "twins"])
         assert json.loads(json.dumps(report)) == report
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["maxsize", "--n", "6", "--modulus", "30"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(lightsout.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "lightsout", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -13,6 +13,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lightsout
 import lightsout.search as search_mod
@@ -31,7 +33,7 @@ from lightsout.graphs import (
     path_graph,
     star_graph,
 )
-from lightsout.modular import AuditError, ZModMatrix, is_invertible
+from lightsout.modular import AuditError, ZModMatrix, det_int, is_invertible
 from lightsout.search import (
     CONJECTURED,
     PROVEN,
@@ -164,6 +166,85 @@ class TestCombinationOrder:
         cur = [3, 4, 5]
         assert not next_combination(cur, 6)
         assert cur == [3, 4, 5], "failed advance must not mutate"
+
+
+def full_complement_det(n: int, edges) -> int:
+    """det(J - B) by Bareiss on the whole n x n matrix."""
+    rows = [[1] * n for _ in range(n)]
+    for u, v in edges:
+        rows[u][v] = rows[v][u] = 0
+    return det_int(rows)
+
+
+def full_dets(n: int, e: int):
+    """(mask, max degree, det(J - B)) for every e-edge complement, in rank order."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    out = []
+    for combo in itertools.combinations(range(len(pairs)), e):
+        edges = [pairs[j] for j in combo]
+        deg = [0] * n
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        mask = sum(1 << (len(pairs) - 1 - j) for j in combo)
+        out.append((mask, max(deg, default=0), full_complement_det(n, edges)))
+    return out
+
+
+def reference_scan(dets, n: int, ell: int, e: int, prune: bool):
+    """The labeled scan with one full-matrix determinant per candidate.
+
+    dets is full_dets(n, e), computed once for every modulus.
+    """
+    t = e - n // 2
+    cap = t + 1 if prune and n % 2 == 0 and t >= 1 else None
+    return sorted(
+        mask
+        for mask, top, det in dets
+        if (cap is None or top <= cap) and math.gcd(det % ell, ell) == 1
+    )
+
+
+class TestFactoredDeterminant:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_determinant(self, data):
+        n = data.draw(st.integers(1, 9), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        memo = {}
+        # Several complements share one memo, so later ones meet entries
+        # whose s term an earlier one did or did not need.
+        for _ in range(data.draw(st.integers(1, 4), label="graphs")):
+            e = data.draw(st.integers(0, min(n + 2, len(pairs))), label="e")
+            order = data.draw(st.permutations(range(len(pairs))), label="order")
+            edges = [pairs[j] for j in sorted(order[:e])]
+            want = full_complement_det(n, edges)
+            assert search_mod._complement_det(n, edges, memo) == want, edges
+            assert search_mod._complement_det(n, edges, memo) == want, edges
+
+    @pytest.mark.parametrize(
+        "n, edges, det",
+        [
+            (2, [], 0),  # J_2
+            (3, [(0, 1)], -1),  # an edge and an isolated vertex
+            (4, [(0, 1), (2, 3)], -3),  # d = -1, s = 2 each: 1 - 2 - 2
+            (4, [(0, 1), (1, 2), (2, 3)], -1),  # P_4 is spanning: direct det_int
+            (5, [(0, 1), (0, 2)], 0),  # twin leaves 1 and 2 give equal rows
+        ],
+    )
+    def test_small_cases(self, n, edges, det):
+        assert full_complement_det(n, edges) == det
+        assert search_mod._complement_det(n, edges, {}) == det
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_scan_matches_reference(self, n):
+        for e in range(n // 2, n):
+            dets = full_dets(n, e)
+            for ell in (2, 3, 4, 6, 30, 42, 210):
+                for prune in (True, False):
+                    got = search_mod._scan_edge_count(n, ell, e, prune, 1)
+                    want = reference_scan(dets, n, ell, e, prune)
+                    assert got == want, (e, ell, prune)
 
 
 class TestDedup:

@@ -31,7 +31,7 @@ from .graphs import (
     named_graph,
     neighborhood_matrix,
 )
-from .modular import ZModMatrix
+from .modular import ZModMatrix, normal_form
 from .search import max_size_search
 from .toggling import minimal_nonempty_r, toggling_numbers
 from .verify import run_suite, suite_names
@@ -221,7 +221,8 @@ def cmd_toggling(args: argparse.Namespace) -> int:
         bad = [v for v in subset if not (0 <= v < n)]
         if bad:
             raise UsageError(f"subset vertices out of range: {bad}")
-    coset = toggling_numbers(matrix, subset, args.r)
+    nf = normal_form(matrix)
+    coset = toggling_numbers(matrix, subset, args.r, nf=nf)
     inputs = _graph_inputs(args, g)
     inputs["subset"] = subset
     inputs["r"] = args.r
@@ -234,7 +235,7 @@ def cmd_toggling(args: argparse.Namespace) -> int:
             "base": None if coset.empty else coset.base,
             "generator": None if coset.empty else coset.generator,
             "members": list(coset.members()),
-            "minimal_nonempty_r": minimal_nonempty_r(matrix, subset),
+            "minimal_nonempty_r": minimal_nonempty_r(matrix, subset, nf=nf),
         },
     )
     return 0

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 MAX_MODULUS = 2**31 - 1
+# SolutionSet.enumerate (and count) refuse larger solution sets.
+MAX_ENUMERATED_SOLUTIONS = 2**20
 
 
 class AuditError(AssertionError):
@@ -186,9 +188,13 @@ class SolutionSet:
     modulus: int
 
     def enumerate(self) -> Iterator[Tuple[int, ...]]:
-        """Yield every solution (closure of the generators; small cases only)."""
+        """Yield every solution (closure of the generators; small cases only).
+
+        Input limit: a closure of more than MAX_ENUMERATED_SOLUTIONS
+        solutions raises ValueError instead of growing without bound.  No
+        command calls enumerate or count, so the limit guards library use.
+        """
         ell = self.modulus
-        n = len(self.particular)
         seen = {self.particular}
         frontier = [self.particular]
         while frontier:
@@ -199,6 +205,11 @@ class SolutionSet:
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
+                        if len(seen) > MAX_ENUMERATED_SOLUTIONS:
+                            raise ValueError(
+                                "solution set exceeds the enumeration limit"
+                                f" of {MAX_ENUMERATED_SOLUTIONS} solutions"
+                            )
             frontier = nxt
         return iter(sorted(seen))
 

@@ -26,7 +26,7 @@ from .graphs import (
     neighborhood_matrix,
     path_graph,
 )
-from .modular import AuditError, check_modulus, normal_form
+from .modular import AuditError, NormalForm, check_modulus, normal_form
 from .toggling import ToggleCoset, minimal_nonempty_r, toggling_numbers
 
 
@@ -274,7 +274,7 @@ class PendantConditions:
 
 
 def _all_labelings_shift_winnable(
-    g: Graph,
+    nf: NormalForm,
     ell: int,
     max_exhaustive: int,
     sample: Optional[int],
@@ -282,44 +282,50 @@ def _all_labelings_shift_winnable(
 ) -> Tuple[bool, bool, Optional[Tuple[int, ...]]]:
     """Does every labeling admit a winnable all-vertex shift?
 
-    Returns (answer, exhaustive, counterexample).  Membership of a shifted
-    labeling in the toggle image is tested coordinate-wise against the
-    diagonalized game matrix, so each labeling costs O(ell * n) after one
-    O(n^2) transform.
+    Returns (answer, exhaustive, counterexample) for the adjacency game
+    diagonalised as u_inv * A * v_inv = D.  With m_i = d_i, or ell where
+    d_i = 0, a labeling pi is cleared by some shift exactly when the class
+    of u_inv * pi in Q = Z_{m_1} + ... + Z_{m_n} lies in the cyclic subgroup
+    H generated by the class of u_inv * 1.  Since u_inv is invertible,
+    pi -> [u_inv * pi] maps onto Q, so the answer is |H| == |Q|, decided
+    from at most ell classes.  Per-labeling work happens only when the
+    answer is False: the exhaustive mode then walks labelings in
+    itertools.product order to the first class outside H, and the sampled
+    mode tests each seeded draw.
     """
-    mat = adjacency_matrix(g, ell)
-    nf = normal_form(mat)
-    diag = nf.D.diag()
-    n = g.n
-    w_one = nf.u_inv.mul_vec([1] * n)
-
-    def some_shift_clears(pi: Tuple[int, ...]) -> bool:
-        w_pi = nf.u_inv.mul_vec(pi)
-        for s in range(ell):
-            for i in range(n):
-                val = (w_pi[i] + s * w_one[i]) % ell
-                d = diag[i]
-                if (val != 0) if d == 0 else (val % d != 0):
-                    break
-            else:
-                return True
-        return False
-
+    n = nf.u_inv.rows
     total = ell**n
-    if total <= max_exhaustive:
-        for pi in itertools.product(range(ell), repeat=n):
-            if not some_shift_clears(pi):
-                return False, True, pi
-        return True, True, None
-    if sample is None:
+    exhaustive = total <= max_exhaustive
+    if not exhaustive and sample is None:
         raise ValueError(
             f"{ell}^{n} labelings exceed the exhaustive gate "
             f"({max_exhaustive}); pass a sample size"
         )
+    diag = nf.D.diag()
+    # Coordinates with m_i = 1 carry no information; every m_i divides ell.
+    rows = [i for i in range(n) if diag[i] != 1]
+    mods = [diag[i] or ell for i in rows]
+
+    def cls(v: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(v[i] % m for i, m in zip(rows, mods))
+
+    w_one = cls(nf.u_inv.mul_vec([1] * n))
+    subgroup = {
+        tuple(s * w % m for w, m in zip(w_one, mods)) for s in range(ell)
+    }
+    if len(subgroup) == math.prod(mods):
+        return True, exhaustive, None
+    if exhaustive:
+        for pi in itertools.product(range(ell), repeat=n):
+            if cls(nf.u_inv.mul_vec(pi)) not in subgroup:
+                return False, True, pi
+        raise AuditError(
+            "shift subgroup is proper but every labeling is shift-winnable"
+        )
     rng = random.Random(seed)
     for _ in range(sample):
         pi = tuple(rng.randrange(ell) for _ in range(n))
-        if not some_shift_clears(pi):
+        if cls(nf.u_inv.mul_vec(pi)) not in subgroup:
             return False, False, pi
     return True, False, None
 
@@ -340,13 +346,14 @@ def pendantremove_conditions(
     whose toggling set is non-empty and t any of its members, every z admits
     q in the null-sum subgroup with (r + t) x = z + q solvable.  Their
     conjunction must equal direct neighborhood-AW of the complement; the
-    equality is only guaranteed (and enforced) in exhaustive mode.
+    equality is only guaranteed (and enforced) in exhaustive mode.  The
+    adjacency matrix is diagonalised once and shared by both conditions.
     """
     check_modulus(ell)
     _pendant_neighbor(g, p)
     mat = adjacency_matrix(g, ell)
     nf = normal_form(mat)
-    scan = minimal_nonempty_r(mat, range(g.n))
+    scan = minimal_nonempty_r(mat, range(g.n), nf=nf)
     r = scan if scan else ell
     t_coset = toggling_numbers(mat, range(g.n), r % ell, nf=nf)
     if t_coset.empty:
@@ -359,7 +366,7 @@ def pendantremove_conditions(
         any((z + q) % coeff_gcd == 0 for q in null_sums) for z in range(ell)
     )
     cond_a, exhaustive, witness = _all_labelings_shift_winnable(
-        g, ell, max_exhaustive, sample, seed
+        nf, ell, max_exhaustive, sample, seed
     )
     predicted = cond_a and cond_b
     direct = is_AW(neighborhood_matrix(complement(g), ell))

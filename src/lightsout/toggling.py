@@ -118,14 +118,18 @@ def toggling_numbers(
     return ToggleCoset(modulus=ell, empty=False, base=base, generator=gen)
 
 
-def minimal_nonempty_r(m: ZModMatrix, u_set: Iterable[int]) -> int:
+def minimal_nonempty_r(
+    m: ZModMatrix, u_set: Iterable[int], nf: Optional[NormalForm] = None
+) -> int:
     """Least r in 1..ell-1 with a non-empty toggling set, else 0.
 
     The 0 return encodes the degenerate case where only the zero shift is
-    absorbable (the minimal period ell reduced mod ell).
+    absorbable (the minimal period ell reduced mod ell).  Pass a
+    precomputed NormalForm of m to skip the diagonalisation.
     """
     u = sorted(set(u_set))
-    nf = normal_form(m)
+    if nf is None:
+        nf = normal_form(m)
     for r in range(1, m.modulus):
         if not toggling_numbers(m, u, r, nf=nf).empty:
             return r

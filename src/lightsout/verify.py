@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from .game import (
     cycle_lambda_winnable,
@@ -111,6 +111,15 @@ class SuiteResult:
         }
 
 
+# A failure message, or a zero-argument callable that builds it.  Suites
+# pass callables, so a passing check formats nothing (no graph repr).
+_Message = Union[str, Callable[[], str]]
+
+
+def _text(message: _Message) -> str:
+    return message if isinstance(message, str) else message()
+
+
 class _Recorder:
     """Counts checks and keeps the first few failure messages."""
 
@@ -118,19 +127,19 @@ class _Recorder:
         self.checks = 0
         self.failures: List[str] = []
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, message: _Message) -> None:
         self.checks += 1
         if not ok and len(self.failures) < MAX_RECORDED_FAILURES:
-            self.failures.append(message)
+            self.failures.append(_text(message))
 
-    def run(self, fn: Callable[[], object], context: str) -> None:
+    def run(self, fn: Callable[[], object], context: _Message) -> None:
         """Count a self-asserting computation, recording any blow-up."""
         self.checks += 1
         try:
             fn()
         except AssertionError as exc:
             if len(self.failures) < MAX_RECORDED_FAILURES:
-                self.failures.append(f"{context}: {exc}"[:400])
+                self.failures.append(f"{_text(context)}: {exc}"[:400])
 
 
 def graphs_of_order(n: int) -> Iterator[Graph]:
@@ -183,7 +192,8 @@ def _suite_oracle(seed: int) -> _Recorder:
                         got = winnable(matrix, pi, nf=nf) is not None
                         rec.check(
                             got == (pi in clearable),
-                            f"solver/brute split on {g!r} mod {ell} at {pi}",
+                            lambda: f"solver/brute split on {g!r} mod {ell}"
+                            f" at {pi}",
                         )
     return rec
 
@@ -200,7 +210,7 @@ def _suite_twins(seed: int) -> _Recorder:
                     if find_M_twins(matrix):
                         rec.check(
                             not is_AW(matrix),
-                            f"twins did not block AW: {g!r} mod {ell}",
+                            lambda: f"twins did not block AW: {g!r} mod {ell}",
                         )
     k2 = neighborhood_matrix(path_graph(2), 2)
     rec.check(
@@ -217,7 +227,7 @@ def _suite_thm_2_4(seed: int) -> _Recorder:
             for ell in range(2, 7):
                 rec.run(
                     lambda g=g, ell=ell: dominating_reduction(g, ell),
-                    f"dominating reduction on {g!r} mod {ell}",
+                    lambda: f"dominating reduction on {g!r} mod {ell}",
                 )
     rng = random.Random(seed)
     for _ in range(50):
@@ -225,7 +235,7 @@ def _suite_thm_2_4(seed: int) -> _Recorder:
         ell = rng.choice([2, 3, 4, 5, 6, 9, 12])
         rec.run(
             lambda g=g, ell=ell: dominating_reduction(g, ell),
-            f"dominating reduction on {g!r} mod {ell}",
+            lambda: f"dominating reduction on {g!r} mod {ell}",
         )
     return rec
 
@@ -240,7 +250,7 @@ def _suite_thm_3_1(seed: int) -> _Recorder:
         ell = rng.choice([2, 3, 4])
         rec.run(
             lambda g=g, u=u_set, ell=ell: p4_replacement_equiv(g, u, ell),
-            f"path-four replacement on {g!r}, U={u_set}, mod {ell}",
+            lambda: f"path-four replacement on {g!r}, U={u_set}, mod {ell}",
         )
     return rec
 
@@ -259,7 +269,8 @@ def _suite_cor_3_2(seed: int) -> _Recorder:
             for ell in (2, 3, 6):
                 rec.check(
                     not is_AW(neighborhood_matrix(complement(gbar), ell)),
-                    f"violation did not certify failure: {gbar!r} mod {ell}",
+                    lambda: f"violation did not certify failure:"
+                    f" {gbar!r} mod {ell}",
                 )
     for n, ell in ((5, 3), (6, 10), (6, 30)):
         for g6 in _report(n, ell).extremal_graphs:
@@ -271,7 +282,7 @@ def _suite_cor_3_2(seed: int) -> _Recorder:
             ]
             rec.check(
                 not long_paths,
-                f"extremal complement has a long path component: {g6}",
+                lambda: f"extremal complement has a long path component: {g6}",
             )
     return rec
 
@@ -289,22 +300,22 @@ def _suite_lemma_3_4(seed: int) -> _Recorder:
                     subset = tuple(
                         v for v in range(n) if rng.random() < 0.7
                     ) or (0,)
+                    nf = normal_form(matrix)
                     for u_set in (tuple(range(n)), subset):
-                        r_min = minimal_nonempty_r(matrix, u_set)
+                        r_min = minimal_nonempty_r(matrix, u_set, nf=nf)
                         period = r_min if r_min else ell
                         rec.check(
                             ell % period == 0,
-                            f"minimal shift does not divide modulus:"
+                            lambda: f"minimal shift does not divide modulus:"
                             f" {g!r} U={u_set} mod {ell}",
                         )
-                        nf = normal_form(matrix)
                         for s in range(ell):
                             nonempty = not toggling_numbers(
                                 matrix, u_set, s, nf=nf
                             ).empty
                             rec.check(
                                 nonempty == (s % period == 0),
-                                f"divisibility biconditional fails:"
+                                lambda: f"divisibility biconditional fails:"
                                 f" {g!r} U={u_set} s={s} mod {ell}",
                             )
     return rec
@@ -325,7 +336,7 @@ def _suite_lemma_3_5(seed: int) -> _Recorder:
         result = noU_transfer(host, base.n, s, ell)
         rec.check(
             result.agree,
-            f"transfer mismatch on {host!r} s={s} mod {ell}:"
+            lambda: f"transfer mismatch on {host!r} s={s} mod {ell}:"
             f" {result.whole!r} vs {result.reduced!r}",
         )
     return rec
@@ -346,17 +357,18 @@ def _suite_thm_3_6(seed: int) -> _Recorder:
             for ell in (2, 4):
                 rec.run(
                     lambda g=g, p=p, ell=ell: pendantremove_dompen(g, p, ell),
-                    f"pendant-removal AW equivalence on {g!r} mod {ell}",
+                    lambda: f"pendant-removal AW equivalence on {g!r}"
+                    f" mod {ell}",
                 )
                 conditions = pendantremove_conditions(g, p, ell)
                 rec.check(
                     conditions.exhaustive,
-                    f"sweep unexpectedly sampled on {g!r} mod {ell}",
+                    lambda: f"sweep unexpectedly sampled on {g!r} mod {ell}",
                 )
                 rec.check(
                     conditions.agree,
-                    f"conditions vs direct check on {g!r} p={p} mod {ell}:"
-                    f" predicted {conditions.predicted},"
+                    lambda: f"conditions vs direct check on {g!r} p={p}"
+                    f" mod {ell}: predicted {conditions.predicted},"
                     f" direct {conditions.direct}",
                 )
     return rec
@@ -373,7 +385,7 @@ def _suite_cor_3_7(seed: int) -> _Recorder:
                     continue
                 rec.run(
                     lambda g=g, ell=ell: subsetjoinaw_check(g, ell),
-                    f"unit criterion on {g!r} mod {ell}",
+                    lambda: f"unit criterion on {g!r} mod {ell}",
                 )
     rng = random.Random(seed)
     for _ in range(25):
@@ -381,7 +393,7 @@ def _suite_cor_3_7(seed: int) -> _Recorder:
         ell = rng.choice([2, 3, 4, 6, 9])
         rec.run(
             lambda g=g, ell=ell: subsetjoinaw_check(g, ell),
-            f"unit criterion on corona {g!r} mod {ell}",
+            lambda: f"unit criterion on corona {g!r} mod {ell}",
         )
     return rec
 
@@ -395,7 +407,7 @@ def _suite_lemma_3_9(seed: int) -> _Recorder:
         ell = rng.choice([2, 3, 4, 5, 6, 8])
         rec.check(
             is_AW(adjacency_matrix(g, ell)),
-            f"corona not adjacency-AW: {g!r} mod {ell}",
+            lambda: f"corona not adjacency-AW: {g!r} mod {ell}",
         )
         coset = toggling_numbers(
             adjacency_matrix(g, ell), range(g.n), 1
@@ -403,7 +415,7 @@ def _suite_lemma_3_9(seed: int) -> _Recorder:
         expected = (2 * (g.num_edges() - g.n)) % ell
         rec.check(
             coset.members() == (expected,),
-            f"corona toggle total: {g!r} mod {ell} gave {coset!r}",
+            lambda: f"corona toggle total: {g!r} mod {ell} gave {coset!r}",
         )
     for _ in range(25):
         parts = [
@@ -419,7 +431,8 @@ def _suite_lemma_3_9(seed: int) -> _Recorder:
         )
         rec.check(
             coset.members() == ((-2 * len(parts)) % ell,),
-            f"forest toggle total: {forest!r} mod {ell} gave {coset!r}",
+            lambda: f"forest toggle total: {forest!r} mod {ell} gave"
+            f" {coset!r}",
         )
         split = compose_components(
             [
@@ -431,7 +444,8 @@ def _suite_lemma_3_9(seed: int) -> _Recorder:
         )
         rec.check(
             split == coset,
-            f"componentwise composition mismatch mod {ell}: {forest!r}",
+            lambda: f"componentwise composition mismatch mod {ell}:"
+            f" {forest!r}",
         )
     return rec
 
@@ -444,7 +458,7 @@ def _suite_lemma_3_10(seed: int) -> _Recorder:
         ell = rng.choice([2, 3, 4, 5, 6, 8, 10])
         rec.run(
             lambda g=g, ell=ell: pendant_graph_naw(g, ell),
-            f"pendant complement criterion on {g!r} mod {ell}",
+            lambda: f"pendant complement criterion on {g!r} mod {ell}",
         )
     return rec
 
@@ -465,7 +479,8 @@ def _suite_cor_3_11(seed: int) -> _Recorder:
         direct = is_AW(neighborhood_matrix(complement(forest), ell))
         rec.check(
             direct == (math.gcd(2 * c - 1, ell) == 1),
-            f"component-count criterion: c={c} mod {ell} on {forest!r}",
+            lambda: f"component-count criterion: c={c} mod {ell} on"
+            f" {forest!r}",
         )
     return rec
 
@@ -495,7 +510,8 @@ def _suite_cor_3_12(seed: int) -> _Recorder:
             )
             rec.check(
                 ok,
-                f"replacement rejected: {name} -> {replacement!r} mod {ell}",
+                lambda: f"replacement rejected: {name} -> {replacement!r} mod"
+                f" {ell}",
             )
     mismatched = extswitch_valid(
         disjoint_union(named_graph("G4"), path_graph(2)),
@@ -522,7 +538,8 @@ def _suite_lemma_4_6(seed: int) -> _Recorder:
                     if is_AW(neighborhood_matrix(complement(gbar), ell)):
                         rec.check(
                             gbar.max_degree() <= t + 1,
-                            f"degree bound broken: {gbar!r} e={e} mod {ell}",
+                            lambda: f"degree bound broken: {gbar!r} e={e} mod"
+                            f" {ell}",
                         )
     pruned = max_size_search(6, 30, prune=True)
     unpruned = max_size_search(6, 30, prune=False)
@@ -551,7 +568,8 @@ def _suite_lemma_4_7(seed: int) -> _Recorder:
                     )
                     rec.check(
                         closed == direct,
-                        f"cycle closed form: k={k} (a,b)=({a},{b}) mod {ell}",
+                        lambda: f"cycle closed form: k={k} (a,b)=({a},{b})"
+                        f" mod {ell}",
                     )
     return rec
 
@@ -566,7 +584,7 @@ def _suite_lemma_4_8(seed: int) -> _Recorder:
                 try:
                     ap, bp = cycle_shift_canonical(k, a, b, s, ell)
                 except AssertionError as exc:
-                    rec.check(False, f"shift reduction: {exc}")
+                    rec.check(False, lambda: f"shift reduction: {exc}")
                     continue
                 shifted = shift_labeling(
                     lambda_labeling(k, a, b, ell), range(k), s, ell
@@ -578,7 +596,8 @@ def _suite_lemma_4_8(seed: int) -> _Recorder:
                 )
                 rec.check(
                     lhs == rhs,
-                    f"shift transport: k={k} (a,b,s)=({a},{b},{s}) mod {ell}",
+                    lambda: f"shift transport: k={k} (a,b,s)=({a},{b},{s})"
+                    f" mod {ell}",
                 )
     return rec
 
@@ -598,18 +617,19 @@ def _suite_lemma_4_9(seed: int) -> _Recorder:
             witness = notswin_witness(g, ell)
             rec.check(
                 witness is not None,
-                f"expected obstruction witness on {g!r} mod {ell}",
+                lambda: f"expected obstruction witness on {g!r} mod {ell}",
             )
     for ell in (2, 4):
         rec.check(
             notswin_witness(cycle_graph(5), ell) is None,
-            f"single odd cycle should yield no witness mod {ell}",
+            lambda: f"single odd cycle should yield no witness mod {ell}",
         )
     for k in range(3, 10):
         for ell in (2, 4, 6):
             rec.check(
                 not is_AW(adjacency_matrix(cycle_graph(k), ell)),
-                f"cycle adjacency game AW at even modulus: k={k} mod {ell}",
+                lambda: f"cycle adjacency game AW at even modulus: k={k} mod"
+                f" {ell}",
             )
     return rec
 
@@ -625,7 +645,7 @@ def _suite_thm_4_10(seed: int) -> _Recorder:
                 part = gbar.induced(vertices)
                 rec.check(
                     part.n in (2, 4) and part.num_edges() == part.n - 1,
-                    f"low-degree extremal complement has a component"
+                    lambda: f"low-degree extremal complement has a component"
                     f" of order {part.n} at ({n}, {ell})",
                 )
     return rec
@@ -652,11 +672,11 @@ def _suite_props_4_x(seed: int) -> _Recorder:
         pairs = math.comb(n, 2)
         rec.check(
             pairs - (n - 1) <= report.max_size <= pairs - n // 2,
-            f"size window violated at ({n}, {ell})",
+            lambda: f"size window violated at ({n}, {ell})",
         )
         rec.check(
             report.agree,
-            f"search disagrees with prediction at ({n}, {ell}):"
+            lambda: f"search disagrees with prediction at ({n}, {ell}):"
             f" got {report.max_size}, predicted {report.conjectured.size}",
         )
     for n in (3, 5):
@@ -665,7 +685,7 @@ def _suite_props_4_x(seed: int) -> _Recorder:
             rec.check(
                 report.extremal_graphs
                 == (_canonical_g6(complement(matching_graph(n))),),
-                f"odd-order extremal not the matching complement"
+                lambda: f"odd-order extremal not the matching complement"
                 f" at ({n}, {ell})",
             )
     for n in (4, 6):
@@ -674,14 +694,15 @@ def _suite_props_4_x(seed: int) -> _Recorder:
             hit = report.max_size == math.comb(n, 2) - n // 2
             rec.check(
                 hit == (math.gcd(n - 1, ell) == 1),
-                f"even-order matching biconditional wrong at ({n}, {ell})",
+                lambda: f"even-order matching biconditional wrong"
+                f" at ({n}, {ell})",
             )
             if hit:
                 rec.check(
                     report.extremal_graphs
                     == (_canonical_g6(complement(matching_graph(n))),),
-                    f"coprime even extremal not the matching complement"
-                    f" at ({n}, {ell})",
+                    lambda: f"coprime even extremal not the matching"
+                    f" complement at ({n}, {ell})",
                 )
     for n, ell in ((4, 3), (6, 5)):
         report = _report(n, ell)
@@ -689,7 +710,7 @@ def _suite_props_4_x(seed: int) -> _Recorder:
             report.max_size == math.comb(n, 2) - (n // 2 + 1)
             and _canonical_g6(triangle_family_graph(n))
             in report.extremal_graphs,
-            f"odd-modulus triangle case wrong at ({n}, {ell})",
+            lambda: f"odd-modulus triangle case wrong at ({n}, {ell})",
         )
     expected_unique = {
         (4, 6): path_graph(4),
@@ -699,7 +720,7 @@ def _suite_props_4_x(seed: int) -> _Recorder:
     for (n, ell), graph in expected_unique.items():
         rec.check(
             _report(n, ell).extremal_graphs == (_canonical_g6(graph),),
-            f"even-even extremal class wrong at ({n}, {ell})",
+            lambda: f"even-even extremal class wrong at ({n}, {ell})",
         )
     for n, ell in ((4, 6), (6, 10), (6, 30)):
         k = _report(n, ell).conjectured.k or 0
@@ -708,7 +729,7 @@ def _suite_props_4_x(seed: int) -> _Recorder:
             is_pendant_graph(witness)[0]
             and witness.num_edges() == n // 2 + k
             and is_AW(neighborhood_matrix(complement(witness), ell)),
-            f"lower-bound witness broken at ({n}, {ell})",
+            lambda: f"lower-bound witness broken at ({n}, {ell})",
         )
     return rec
 
@@ -721,19 +742,19 @@ def _suite_appendix(seed: int) -> _Recorder:
             matrix = adjacency_matrix(g, ell)
             rec.check(
                 is_AW(matrix),
-                f"{name} adjacency matrix not invertible mod {ell}",
+                lambda: f"{name} adjacency matrix not invertible mod {ell}",
             )
             got = winnable(matrix, [1] * g.n)
             expected = tuple(v % ell for v in toggles)
             rec.check(
                 got == expected,
-                f"{name} toggle vector mod {ell}: got {got},"
+                lambda: f"{name} toggle vector mod {ell}: got {got},"
                 f" table says {expected}",
             )
             coset = toggling_numbers(matrix, range(g.n), 1)
             rec.check(
                 coset.members() == (total % ell,),
-                f"{name} summed toggles mod {ell}: got {coset!r},"
+                lambda: f"{name} summed toggles mod {ell}: got {coset!r},"
                 f" table says {total % ell}",
             )
     return rec

@@ -19,6 +19,7 @@ import lightsout.modular as modular_mod
 from lightsout.modular import (
     MAX_MODULUS,
     AuditError,
+    SolutionSet,
     ZModMatrix,
     check_modulus,
     det_int,
@@ -340,6 +341,32 @@ class TestSolve:
             got_fresh = None if fresh is None else set(fresh.enumerate())
             got_reused = None if reused is None else set(reused.enumerate())
             assert got_fresh == got_reused
+
+
+class TestEnumerationLimit:
+    def test_default_limit(self):
+        assert modular_mod.MAX_ENUMERATED_SOLUTIONS == 2**20
+
+    @pytest.mark.parametrize(
+        "gens, ell, size",
+        [(((1, 0),), 4, 4), (((1, 0), (0, 1)), 3, 9), (((2, 2),), 6, 3)],
+    )
+    def test_limit_is_inclusive(self, monkeypatch, gens, ell, size):
+        sol = SolutionSet(particular=(1, 1), null_generators=gens, modulus=ell)
+        monkeypatch.setattr(modular_mod, "MAX_ENUMERATED_SOLUTIONS", size)
+        assert len(list(sol.enumerate())) == sol.count() == size
+        monkeypatch.setattr(modular_mod, "MAX_ENUMERATED_SOLUTIONS", size - 1)
+        with pytest.raises(ValueError, match=f"limit of {size - 1} solutions"):
+            sol.enumerate()
+        with pytest.raises(ValueError, match="enumeration limit"):
+            sol.count()
+
+    def test_solver_output_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(modular_mod, "MAX_ENUMERATED_SOLUTIONS", 8)
+        zero = ZModMatrix(4, 4, 2, [0] * 16)
+        sol = solve(zero, [0, 0, 0, 0])
+        with pytest.raises(ValueError, match="limit of 8 solutions"):
+            sol.count()
 
 
 class TestNullspace:

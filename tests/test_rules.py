@@ -10,12 +10,15 @@ import random
 import subprocess
 import sys
 import textwrap
+from functools import lru_cache
 
 import pytest
 
 import lightsout
+import lightsout.modular as modular_mod
 import lightsout.rules as rules_mod
-from lightsout.game import is_AW
+import lightsout.toggling as toggling_mod
+from lightsout.game import exists_shift_winnable, is_AW
 from lightsout.graphs import (
     Graph,
     adjacency_matrix,
@@ -27,7 +30,7 @@ from lightsout.graphs import (
     neighborhood_matrix,
     path_graph,
 )
-from lightsout.modular import AuditError
+from lightsout.modular import AuditError, NormalForm, ZModMatrix, normal_form
 from lightsout.rules import (
     PathViolation,
     ReductionOutcome,
@@ -292,6 +295,153 @@ class TestPendantRemoveConditions:
         monkeypatch.setattr(rules_mod, "toggling_numbers", empty)
         with pytest.raises(AuditError, match="toggling set"):
             pendantremove_conditions(named_graph("path4"), 0, 5)
+
+
+def reference_shift_sweep(nf, ell, max_exhaustive, sample, seed):
+    """Oracle: the per-labeling sweep the shift-subgroup criterion replaced.
+
+    Every labeling (or every seeded draw) is moved by u_inv and tested
+    against each of the ell shifts coordinate-wise on the diagonal.
+    """
+    diag = nf.D.diag()
+    n = nf.u_inv.rows
+    w_one = nf.u_inv.mul_vec([1] * n)
+
+    def some_shift_clears(pi):
+        w_pi = nf.u_inv.mul_vec(pi)
+        for s in range(ell):
+            for i in range(n):
+                val = (w_pi[i] + s * w_one[i]) % ell
+                d = diag[i]
+                if (val != 0) if d == 0 else (val % d != 0):
+                    break
+            else:
+                return True
+        return False
+
+    if ell**n <= max_exhaustive:
+        for pi in itertools.product(range(ell), repeat=n):
+            if not some_shift_clears(pi):
+                return False, True, pi
+        return True, True, None
+    if sample is None:
+        raise ValueError("sample size required")
+    rng = random.Random(seed)
+    for _ in range(sample):
+        pi = tuple(rng.randrange(ell) for _ in range(n))
+        if not some_shift_clears(pi):
+            return False, False, pi
+    return True, False, None
+
+
+def shift_sweep(g, ell, max_exhaustive=2**20, sample=None, seed=0):
+    nf = normal_form(adjacency_matrix(g, ell))
+    return rules_mod._all_labelings_shift_winnable(
+        nf, ell, max_exhaustive, sample, seed
+    )
+
+
+@lru_cache(maxsize=None)
+def labeled_graphs_with_class(n):
+    """Every labeled graph on n vertices with its isomorphism class.
+
+    A class is named by the edge set of its first member; that member's
+    whole relabeling orbit is marked when it is first seen.
+    """
+    perms = list(itertools.permutations(range(n)))
+    class_of = {}
+    out = []
+    for g in all_graphs(n):
+        edges = frozenset(g.edges())
+        if edges not in class_of:
+            for p in perms:
+                image = frozenset(
+                    (min(p[u], p[v]), max(p[u], p[v])) for u, v in edges
+                )
+                class_of[image] = edges
+        out.append((g, (n, class_of[edges])))
+    return tuple(out)
+
+
+class TestShiftSubgroupSweep:
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+    def test_matches_reference_sweep(self, ell):
+        # Whether every labeling has a clearing shift does not depend on
+        # the vertex labels, so the reference runs in full once per
+        # isomorphism class; a False class is re-run on every labeled copy,
+        # since the first counterexample depends on the labels.
+        class_answer = {}
+        compared = failing = 0
+        for n in range(1, 6):
+            if ell**n > 8000:
+                continue
+            for g, key in labeled_graphs_with_class(n):
+                nf = normal_form(adjacency_matrix(g, ell))
+                got = rules_mod._all_labelings_shift_winnable(
+                    nf, ell, 2**20, None, 0
+                )
+                if class_answer.get(key) is True:
+                    expected = (True, True, None)
+                else:
+                    expected = reference_shift_sweep(nf, ell, 2**20, None, 0)
+                    class_answer[key] = expected[0]
+                assert got == expected, f"{g!r} mod {ell}"
+                compared += 1
+                failing += not expected[0]
+        assert compared == 1 + 2 + 8 + 64 + 1024
+        assert 0 < failing < compared
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_mode_matches_reference(self, seed):
+        covered = corona_pendant(path_graph(4))
+        blocked = disjoint_union(
+            disjoint_union(cycle_graph(3), cycle_graph(5)), path_graph(2)
+        )
+        for g, ell in ((covered, 7), (blocked, 2), (blocked, 4)):
+            args = (normal_form(adjacency_matrix(g, ell)), ell, 10, 25, seed)
+            got = rules_mod._all_labelings_shift_winnable(*args)
+            assert got == reference_shift_sweep(*args)
+            assert got[0] == (g is covered) and not got[1]
+
+    def test_gate_without_sample(self):
+        with pytest.raises(ValueError, match="exhaustive gate"):
+            shift_sweep(path_graph(3), 2, max_exhaustive=7)
+
+    def test_counterexample_is_first_in_product_order(self):
+        g = disjoint_union(cycle_graph(4), path_graph(2))
+        answer, exhaustive, witness = shift_sweep(g, 2)
+        assert (answer, exhaustive) == (False, True)
+        labelings = list(itertools.product(range(2), repeat=g.n))
+        earlier = labelings[: labelings.index(witness)]
+        assert all(
+            exists_shift_winnable(g, pi, 2) is not None
+            for pi in earlier
+        )
+        assert exists_shift_winnable(g, witness, 2) is None
+
+    def test_audit_when_subgroup_and_walk_disagree(self):
+        # A non-invertible u_inv sends every labeling into the subgroup, so
+        # the proper-subgroup verdict has no counterexample to back it.
+        fake = NormalForm(
+            D=ZModMatrix.diagonal([0], 2),
+            u_inv=ZModMatrix.from_rows([[0]], 2),
+            v_inv=ZModMatrix.identity(1, 2),
+        )
+        with pytest.raises(AuditError, match="shift subgroup"):
+            rules_mod._all_labelings_shift_winnable(fake, 2, 2**20, None, 0)
+
+    def test_conditions_diagonalise_the_game_once(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return normal_form(m)
+
+        for module in (rules_mod, toggling_mod, modular_mod):
+            monkeypatch.setattr(module, "normal_form", counting)
+        res = pendantremove_conditions(named_graph("path4"), 0, 6)
+        assert res.agree
+        assert calls == [adjacency_matrix(named_graph("path4"), 6)]
 
 
 class TestExtdomFilter:

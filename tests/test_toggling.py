@@ -16,7 +16,7 @@ from lightsout.graphs import (
     named_graph,
     neighborhood_matrix,
 )
-from lightsout.modular import ZModMatrix
+from lightsout.modular import ZModMatrix, normal_form
 from lightsout.toggling import (
     ToggleCoset,
     compose_components,
@@ -171,6 +171,18 @@ class TestMinimalNonemptyR:
                 assert nonempty == (s % period == 0), (
                     f"biconditional fails at s={s}, r={r} for {g!r} u={u}"
                 )
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 6, 8, 9, 12, 30])
+    def test_precomputed_normal_form_gives_same_r(self, ell):
+        rng = random.Random(110 + ell)
+        for _ in range(25):
+            n = rng.randrange(1, 6)
+            entries = [rng.randrange(ell) for _ in range(n * n)]
+            m = ZModMatrix(n, n, ell, entries)
+            u = [v for v in range(n) if rng.random() < 0.6]
+            assert minimal_nonempty_r(m, u, nf=normal_form(m)) == (
+                minimal_nonempty_r(m, u)
+            )
 
     def test_zero_shift_always_absorbable(self):
         rng = random.Random(83)

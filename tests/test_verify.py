@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+import lightsout.verify as verify_mod
+from lightsout.graphs import Graph
+from lightsout.toggling import ToggleCoset, TransferCheck
 from lightsout.verify import (
     APPENDIX_MODULI,
     APPENDIX_TABLES,
@@ -122,6 +125,48 @@ class TestRecorder:
             rec.check(False, f"failure {i}")
         assert rec.checks == MAX_RECORDED_FAILURES + 10
         assert len(rec.failures) == MAX_RECORDED_FAILURES
+
+    def test_callable_messages_built_only_on_failure(self):
+        def never():
+            raise AssertionError("message built for a passing check")
+
+        def blow_up():
+            raise AssertionError("inner detail")
+
+        rec = _Recorder()
+        rec.check(True, never)
+        rec.run(lambda: None, never)
+        rec.check(False, lambda: "broken")
+        rec.run(blow_up, lambda: "context")
+        assert rec.checks == 4
+        assert rec.failures == ["broken", "context: inner detail"]
+
+    def test_passing_suite_formats_no_graph(self, monkeypatch):
+        def refuse_repr(g):
+            raise AssertionError("Graph repr on a passing check")
+
+        monkeypatch.setattr(Graph, "__repr__", refuse_repr)
+        (result,) = run_suite("lemma-3-5", seed=0)
+        assert result.passed and result.checks == 60
+
+    def test_forced_failure_keeps_message_text(self, monkeypatch):
+        seen = []
+
+        def mismatch(host, p, s, ell):
+            seen.append((host, s, ell))
+            return TransferCheck(
+                whole=ToggleCoset.singleton(ell, 0),
+                reduced=ToggleCoset.singleton(ell, 1),
+            )
+
+        monkeypatch.setattr(verify_mod, "noU_transfer", mismatch)
+        (result,) = run_suite("lemma-3-5", seed=0)
+        assert result.checks == len(seen) == 60
+        assert list(result.failures) == [
+            f"transfer mismatch on {host!r} s={s} mod {ell}:"
+            f" ToggleCoset({{0}}, mod {ell}) vs ToggleCoset({{1}}, mod {ell})"
+            for host, s, ell in seen[:MAX_RECORDED_FAILURES]
+        ]
 
 
 class TestFrozenTables:

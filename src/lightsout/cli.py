@@ -32,7 +32,7 @@ from .graphs import (
     neighborhood_matrix,
 )
 from .modular import ZModMatrix, normal_form
-from .search import max_size_search
+from .search import FULL_ENUMERATION_MAX_N, max_size_search
 from .toggling import minimal_nonempty_r, toggling_numbers
 from .verify import run_suite, suite_names
 
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument(
         "--bounded",
         type=int,
-        help="cap on complement edges (required for n > 10)",
+        help=f"cap on complement edges (required for n > {FULL_ENUMERATION_MAX_N})",
     )
     mx.add_argument(
         "--no-prune",

@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .graphs import Graph, adjacency_matrix, cycle_graph
 from .modular import (
+    AuditError,
     NormalForm,
     ZModMatrix,
     check_modulus,
@@ -50,7 +51,7 @@ def winnable(
         return None
     x = sol.particular
     if any(apply_toggles(m, pi, x)):
-        raise AssertionError("internal error: winnable witness failed replay")
+        raise AuditError("internal error: winnable witness failed replay")
     return x
 
 
@@ -134,7 +135,7 @@ def cycle_shift_canonical(
     target = lambda_labeling(k, out[0], out[1], ell)
     diff = [(t - p) % ell for p, t in zip(shifted, target)]
     if solve(mat, diff) is None:
-        raise AssertionError(
+        raise AuditError(
             f"shift reduction not toggle-reachable for k={k}, a={a}, b={b}, s={s}"
         )
     return out

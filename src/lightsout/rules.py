@@ -216,7 +216,7 @@ def subsetjoinaw_check(g: Graph, ell: int) -> ReductionOutcome:
     coset = toggling_numbers(mat, range(g.n), 1)
     members = coset.members()
     if len(members) != 1:
-        raise AssertionError(
+        raise AuditError(
             "toggling set of an invertible game must be a singleton"
         )
     t = members[0]
@@ -501,7 +501,7 @@ def notswin_witness(g: Graph, ell: int) -> Optional[Tuple[int, ...]]:
     witness[min(chosen)] = 1
     witness_t = tuple(witness)
     if exists_shift_winnable(g, witness_t, ell) is not None:
-        raise AssertionError(
+        raise AuditError(
             f"cycle obstruction failed for {graph6_encode(g)} mod {ell}"
         )
     return witness_t

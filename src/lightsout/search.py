@@ -16,12 +16,14 @@ candidate with two vertices of equal neighborhood in B (twins in G) is
 skipped with no determinant at all.  The surviving canonical
 representatives are re-verified through the diagonalization route, so
 the two invertibility criteria still audit each other.  Work is split
-into fixed-size rank ranges of the combination sequence, so the merged
-result is independent of worker count and scheduling.
+by each complement's lexicographically least edge, one chunk per edge,
+and the chunks' winners are merged as a sorted set, so the result is
+independent of worker count and scheduling.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -57,11 +59,6 @@ CONJECTURED = "CONJECTURED"
 # canonical_adjacency_bits, since an asymmetric graph has n! relabelings.
 FULL_ENUMERATION_MAX_N = 10
 
-# Ranks per work unit.  Fixed (never derived from the worker count) so
-# that chunk boundaries, and hence the merged winner set, are identical
-# for every parallelism level.
-CHUNK_RANKS = 50_000
-
 
 def minimal_coprime_k(n: int, ell: int) -> int:
     """Smallest k >= 0 with gcd(n - 2k - 1, ell) = 1 (n even).
@@ -73,7 +70,7 @@ def minimal_coprime_k(n: int, ell: int) -> int:
     for k in range(n // 2):
         if math.gcd(n - 2 * k - 1, ell) == 1:
             return k
-    raise AssertionError(f"no k below n/2 for n={n}, ell={ell}")
+    raise AuditError(f"no k below n/2 for n={n}, ell={ell}")
 
 
 @dataclass(frozen=True)
@@ -151,42 +148,6 @@ def pendant_lower_bound_witness(n: int, k: int) -> Graph:
 
 def _pairs(n: int) -> List[Tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def unrank_combination(rank: int, n_items: int, k: int) -> List[int]:
-    """The rank-th k-subset of range(n_items) in lexicographic order."""
-    total = math.comb(n_items, k)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range for C({n_items},{k})")
-    combo: List[int] = []
-    x = 0
-    remaining = k
-    r = rank
-    while remaining:
-        block = math.comb(n_items - x - 1, remaining - 1)
-        if r < block:
-            combo.append(x)
-            remaining -= 1
-        else:
-            r -= block
-        x += 1
-    return combo
-
-
-def next_combination(combo: List[int], n_items: int) -> bool:
-    """Advance combo to its lexicographic successor in place.
-
-    Returns False (combo untouched) when combo is already the last
-    k-subset of range(n_items).
-    """
-    k = len(combo)
-    for i in reversed(range(k)):
-        if combo[i] != n_items - k + i:
-            combo[i] += 1
-            for j in range(i + 1, k):
-                combo[j] = combo[j - 1] + 1
-            return True
-    return False
 
 
 Edges = Tuple[Tuple[int, int], ...]
@@ -276,30 +237,32 @@ def _complement_det(
     return prod + sum(_component_s(*part) * (prod // part[1][0]) for part in parts)
 
 
-def _scan_chunk(args: Tuple[int, int, int, int, int, bool]) -> List[int]:
-    """Test one rank range of complement candidates; return winner masks.
+def _scan_chunk(args: Tuple[int, int, int, int, bool]) -> List[int]:
+    """Test the complements whose least edge is pairs[first]; return winners.
 
-    Each mask packs the complement's pair indicators with pair (0,1)
-    most significant, matching Graph.adjacency_bits.  A candidate wins
-    when the complementary graph's neighborhood matrix J - B has
-    determinant coprime to the modulus.  Two vertices with the same
-    neighborhood in B (most often two isolated ones) have the same closed
-    neighborhood in G, so J - B has two equal rows and determinant 0; such
-    candidates are skipped without a determinant.  The rest go through
-    _complement_det, whose component memo lives for this call only, so
-    results cannot depend on how ranks are split among workers.
-    max_size_search still audits the survivors through normal_form.
+    The candidates are the e-edge complements made of pairs[first] and
+    e - 1 later pairs, in lexicographic order.  Each mask packs the
+    complement's pair indicators with pair (0,1) most significant, matching
+    Graph.adjacency_bits.  A candidate wins when the complementary graph's
+    neighborhood matrix J - B has determinant coprime to the modulus.  Two
+    vertices with the same neighborhood in B (most often two isolated ones)
+    have the same closed neighborhood in G, so J - B has two equal rows and
+    determinant 0; such candidates are skipped without a determinant.  The
+    rest go through _complement_det, whose component memo lives for this
+    call only, so results cannot depend on how chunks are split among
+    workers.  max_size_search still audits the survivors through
+    normal_form.
     """
-    n, ell, e, start, count, prune = args
+    n, ell, e, first, prune = args
     pairs = _pairs(n)
     npairs = len(pairs)
-    combo = unrank_combination(start, npairs, e)
     t = e - n // 2
     cap = t + 1
     use_prune = prune and n % 2 == 0 and t >= 1
     winners: List[int] = []
     memo: ComponentMemo = {}
-    for step in range(count):
+    for rest in itertools.combinations(range(first + 1, npairs), e - 1):
+        combo = (first,) + rest
         edges = [pairs[j] for j in combo]
         nbrs = [0] * n
         for u, v in edges:
@@ -314,21 +277,18 @@ def _scan_chunk(args: Tuple[int, int, int, int, int, bool]) -> List[int]:
             for j in combo:
                 mask |= 1 << (npairs - 1 - j)
             winners.append(mask)
-        if step + 1 < count and not next_combination(combo, npairs):
-            raise AuditError("rank range overran the combination sequence")
     return winners
 
 
 def _scan_edge_count(
     n: int, ell: int, e: int, prune: bool, jobs: int
 ) -> List[int]:
-    """All winning complement masks with exactly e edges, sorted."""
+    """All winning complement masks with exactly e >= 1 edges, sorted.
+
+    There is one chunk per possible least edge pairs[first].
+    """
     npairs = math.comb(n, 2)
-    total = math.comb(npairs, e)
-    chunks = [
-        (n, ell, e, start, min(CHUNK_RANKS, total - start), prune)
-        for start in range(0, total, CHUNK_RANKS)
-    ]
+    chunks = [(n, ell, e, first, prune) for first in range(npairs - e + 1)]
     # The pool starts every worker up front, so never ask for more than
     # can run at once or than there are chunks to hand out.
     workers = min(jobs, os.cpu_count() or 1, len(chunks))

@@ -123,17 +123,28 @@ def minimal_nonempty_r(
 ) -> int:
     """Least r in 1..ell-1 with a non-empty toggling set, else 0.
 
-    The 0 return encodes the degenerate case where only the zero shift is
-    absorbable (the minimal period ell reduced mod ell).  Pass a
+    With u_inv M v_inv = D, the (U, r) labeling clears exactly when
+    D y = -r w is solvable for w = u_inv 1_U, that is when r w = 0 in
+    Q = sum_i Z_{m_i}, where m_i is the i-th diagonal entry of D (ell where
+    it is 0).  The least such r is the order of w in Q,
+    lcm_i m_i / gcd(w_i, m_i), which divides ell.  The 0 return encodes
+    order ell, where only the zero shift is absorbable.  Pass a
     precomputed NormalForm of m to skip the diagonalisation.
     """
-    u = sorted(set(u_set))
+    if not m.is_square:
+        raise ValueError("toggling numbers require a square game matrix")
+    u = set(u_set)
+    if any(not 0 <= v < m.rows for v in u):
+        raise ValueError("vertex subset out of range")
     if nf is None:
         nf = normal_form(m)
-    for r in range(1, m.modulus):
-        if not toggling_numbers(m, u, r, nf=nf).empty:
-            return r
-    return 0
+    ell = m.modulus
+    w = nf.u_inv.mul_vec([int(v in u) for v in range(m.rows)])
+    order = 1
+    for d, w_i in zip(nf.D.diag(), w):
+        m_i = d or ell
+        order = math.lcm(order, m_i // math.gcd(w_i, m_i))
+    return 0 if order == ell else order
 
 
 def compose_components(cosets: Sequence[ToggleCoset]) -> ToggleCoset:

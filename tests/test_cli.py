@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import lightsout
+import lightsout.cli as cli_mod
 
 from lightsout.cli import (
     MAX_MATRIX_DIM,
@@ -400,6 +401,12 @@ class TestMaxsizeCommand:
     def test_too_large_without_cap(self, capsys):
         code, _, err = run_cli(capsys, ["maxsize", "--n", "11", "--modulus", "2"])
         assert code == 2 and "n <= 10" in err
+
+    def test_bounded_help_names_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "FULL_ENUMERATION_MAX_N", 12)
+        with pytest.raises(SystemExit):
+            main(["maxsize", "--help"])
+        assert "required for n > 12" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import lightsout.game as game_mod
 from lightsout.game import (
     apply_toggles,
     cycle_lambda_winnable,
@@ -26,7 +27,7 @@ from lightsout.graphs import (
     named_graph,
     neighborhood_matrix,
 )
-from lightsout.modular import ZModMatrix, normal_form
+from lightsout.modular import AuditError, ZModMatrix, normal_form
 
 
 def brute_winnable(m: ZModMatrix, pi) -> bool:
@@ -135,6 +136,12 @@ class TestWinnable:
             left = winnable(neighborhood_matrix(g1, ell), pi[: g1.n]) is not None
             right = winnable(neighborhood_matrix(g2, ell), pi[g1.n :]) is not None
             assert whole == (left and right)
+
+    def test_failed_replay_raises_audit_error(self, monkeypatch):
+        monkeypatch.setattr(game_mod, "apply_toggles", lambda m, pi, x: (1,) * m.rows)
+        m = neighborhood_matrix(named_graph("path4"), 3)
+        with pytest.raises(AuditError, match="failed replay"):
+            winnable(m, (1, 0, 0, 0))
 
 
 class TestIsAW:
@@ -258,6 +265,11 @@ class TestCycleShiftCanonical:
             lhs = winnable(mat, shifted, nf=nf) is not None
             rhs = winnable(mat, lambda_labeling(k, ap, bp, ell), nf=nf) is not None
             assert lhs == rhs
+
+    def test_unreachable_reduction_raises_audit_error(self, monkeypatch):
+        monkeypatch.setattr(game_mod, "solve", lambda m, c, nf=None: None)
+        with pytest.raises(AuditError, match="not toggle-reachable"):
+            cycle_shift_canonical(6, 1, 1, 2, 4)
 
 
 class TestExistsShiftWinnable:

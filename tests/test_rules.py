@@ -226,6 +226,14 @@ class TestSubsetjoinaw:
         with pytest.raises(ValueError):
             subsetjoinaw_check(named_graph("cycle5"), 5)
 
+    def test_non_singleton_toggling_set_raises(self, monkeypatch):
+        def two_members(m, u_set, r, nf=None):
+            return ToggleCoset(modulus=m.modulus, empty=False, base=0, generator=2)
+
+        monkeypatch.setattr(rules_mod, "toggling_numbers", two_members)
+        with pytest.raises(AuditError, match="singleton"):
+            subsetjoinaw_check(named_graph("path4"), 4)
+
 
 class TestPendantRemoveDompen:
     @pytest.mark.parametrize("ell", [2, 3, 4, 6])
@@ -559,6 +567,11 @@ class TestNotswin:
     def test_single_odd_cycle_silent(self):
         g = disjoint_union(cycle_graph(5), path_graph(2))
         assert notswin_witness(g, 4) is None
+
+    def test_clearable_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(rules_mod, "exists_shift_winnable", lambda g, pi, ell: 0)
+        with pytest.raises(AuditError, match="cycle obstruction failed"):
+            notswin_witness(cycle_graph(4), 2)
 
     def test_odd_modulus_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -43,10 +44,8 @@ from lightsout.search import (
     dedup_isomorphism,
     max_size_search,
     minimal_coprime_k,
-    next_combination,
     pendant_lower_bound_witness,
     triangle_family_graph,
-    unrank_combination,
     verify_conjecture,
 )
 
@@ -139,35 +138,6 @@ class TestConjecturedMax:
             assert math.gcd(n - 2 * smaller - 1, ell) != 1
 
 
-class TestCombinationOrder:
-    @pytest.mark.parametrize("n_items,k", [(6, 3), (5, 0), (4, 4), (7, 2)])
-    def test_unrank_matches_lexicographic_enumeration(self, n_items, k):
-        combos = list(itertools.combinations(range(n_items), k))
-        for rank, combo in enumerate(combos):
-            got = unrank_combination(rank, n_items, k)
-            assert got == list(combo), f"rank {rank}: {got} != {combo}"
-
-    @pytest.mark.parametrize("n_items,k", [(6, 3), (5, 1), (4, 4), (6, 0)])
-    def test_successor_walks_the_whole_sequence(self, n_items, k):
-        combos = list(itertools.combinations(range(n_items), k))
-        cur = unrank_combination(0, n_items, k)
-        seen = [tuple(cur)]
-        while next_combination(cur, n_items):
-            seen.append(tuple(cur))
-        assert seen == combos
-
-    def test_unrank_range_checked(self):
-        with pytest.raises(ValueError):
-            unrank_combination(20, 6, 3)
-        with pytest.raises(ValueError):
-            unrank_combination(-1, 6, 3)
-
-    def test_last_combination_has_no_successor(self):
-        cur = [3, 4, 5]
-        assert not next_combination(cur, 6)
-        assert cur == [3, 4, 5], "failed advance must not mutate"
-
-
 def full_complement_det(n: int, edges) -> int:
     """det(J - B) by Bareiss on the whole n x n matrix."""
     rows = [[1] * n for _ in range(n)]
@@ -245,6 +215,37 @@ class TestFactoredDeterminant:
                     got = search_mod._scan_edge_count(n, ell, e, prune, 1)
                     want = reference_scan(dets, n, ell, e, prune)
                     assert got == want, (e, ell, prune)
+
+
+class TestScanChunks:
+    @pytest.mark.parametrize(
+        "n, edge_counts",
+        [(2, [1]), (3, [1, 2, 3]), (4, range(1, 7)), (5, range(1, 11)), (6, [3, 4, 5])],
+    )
+    def test_chunks_partition_the_candidates(self, monkeypatch, n, edge_counts):
+        """Unpruned, every twin-free e-edge complement reaches one determinant."""
+        real = search_mod._complement_det
+        seen = []
+
+        def counting(n_, edges, memo):
+            seen.append(tuple(edges))
+            return real(n_, edges, memo)
+
+        monkeypatch.setattr(search_mod, "_complement_det", counting)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for e in edge_counts:
+            seen.clear()
+            search_mod._scan_edge_count(n, 2, e, False, 1)
+            want = []
+            for combo in itertools.combinations(pairs, e):
+                nbrs = [0] * n
+                for u, v in combo:
+                    nbrs[u] |= 1 << v
+                    nbrs[v] |= 1 << u
+                if len(set(nbrs)) == n:
+                    want.append(combo)
+            assert len(seen) == len(want), e
+            assert sorted(seen) == want, e
 
 
 class TestDedup:
@@ -500,16 +501,8 @@ class TestDeterminism:
         fanned = max_size_search(6, 5, jobs=3)
         assert json.dumps(lone.to_json()) == json.dumps(fanned.to_json())
 
-    def test_chunk_size_does_not_change_report(self, monkeypatch):
-        import lightsout.search as search_mod
-
-        base = max_size_search(6, 5)
-        monkeypatch.setattr(search_mod, "CHUNK_RANKS", 97)
-        sliced = max_size_search(6, 5, jobs=2)
-        assert json.dumps(base.to_json()) == json.dumps(sliced.to_json())
-
     @pytest.mark.parametrize(
-        "cpus, expected", [(4, [4]), (16, [5]), (1, []), (None, [])]
+        "cpus, expected", [(4, [4]), (16, [13]), (1, []), (None, [])]
     )
     def test_pool_capped_by_cpus_and_chunks(self, monkeypatch, cpus, expected):
         requested = []
@@ -529,8 +522,8 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
+        # 15 pairs, e = 3: one chunk per least edge 0..12, so 13 chunks.
         serial = search_mod._scan_edge_count(6, 5, 3, True, 1)
-        monkeypatch.setattr(search_mod, "CHUNK_RANKS", 97)  # C(15, 3) = 455: 5 chunks
         monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
         assert search_mod._scan_edge_count(6, 5, 3, True, 1000) == serial
@@ -547,6 +540,12 @@ class TestAudits:
     def test_audit_error_is_an_assertion_error(self):
         assert issubclass(AuditError, AssertionError)
         assert lightsout.AuditError is AuditError
+
+    def test_missing_coprime_k_raises(self, monkeypatch):
+        never_coprime = types.SimpleNamespace(gcd=lambda a, b: 2)
+        monkeypatch.setattr(search_mod, "math", never_coprime)
+        with pytest.raises(AuditError, match="no k below"):
+            minimal_coprime_k(6, 2)
 
     def test_diagonal_disagreement_raises(self, monkeypatch):
         real = search_mod.normal_form

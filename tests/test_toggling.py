@@ -38,6 +38,31 @@ def brute_toggling(m: ZModMatrix, u, r) -> set:
     return sums
 
 
+def reference_minimal_nonempty_r(m: ZModMatrix, u, nf) -> int:
+    """Least r in 1..ell-1 with a non-empty toggling set, found by trying
+    each r in turn (the loop minimal_nonempty_r replaced); else 0."""
+    for r in range(1, m.modulus):
+        if not toggling_numbers(m, u, r, nf=nf).empty:
+            return r
+    return 0
+
+
+def random_square_matrix(rng: random.Random, n: int, ell: int) -> ZModMatrix:
+    """A random n x n matrix, often singular: a row may be scaled by a
+    divisor of ell or replaced by a multiple of another row."""
+    rows = [[rng.randrange(ell) for _ in range(n)] for _ in range(n)]
+    divisors = [d for d in range(2, ell + 1) if ell % d == 0]
+    for i in range(n):
+        pick = rng.random()
+        if pick < 0.3:
+            scale = rng.choice(divisors)
+            rows[i] = [x * scale % ell for x in rows[i]]
+        elif pick < 0.45:
+            scale = rng.randrange(ell)
+            rows[i] = [x * scale % ell for x in rng.choice(rows)]
+    return ZModMatrix(n, n, ell, [x for row in rows for x in row])
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [
         (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p
@@ -183,6 +208,38 @@ class TestMinimalNonemptyR:
             assert minimal_nonempty_r(m, u, nf=normal_form(m)) == (
                 minimal_nonempty_r(m, u)
             )
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 6, 8, 9, 12, 30, 210])
+    def test_order_matches_reference_on_every_subset(self, ell):
+        rng = random.Random(300 + ell)
+        for trial in range(15):
+            n = rng.randrange(1, 6)
+            m = random_square_matrix(rng, n, ell)
+            nf = normal_form(m)
+            for size in range(n + 1):
+                for u in itertools.combinations(range(n), size):
+                    assert minimal_nonempty_r(m, u, nf=nf) == (
+                        reference_minimal_nonempty_r(m, u, nf)
+                    ), (trial, m.to_rows(), u)
+
+    @pytest.mark.parametrize("ell", [2, 4, 6, 12])
+    def test_order_matches_reference_on_graph_games(self, ell):
+        rng = random.Random(400 + ell)
+        for _ in range(6):
+            g = random_graph(rng, rng.randrange(1, 6))
+            for m in (adjacency_matrix(g, ell), neighborhood_matrix(g, ell)):
+                nf = normal_form(m)
+                for size in range(g.n + 1):
+                    for u in itertools.combinations(range(g.n), size):
+                        assert minimal_nonempty_r(m, u, nf=nf) == (
+                            reference_minimal_nonempty_r(m, u, nf)
+                        ), (g, u)
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="square"):
+            minimal_nonempty_r(ZModMatrix(2, 3, 4, [0] * 6), [0])
+        with pytest.raises(ValueError, match="out of range"):
+            minimal_nonempty_r(adjacency_matrix(named_graph("path4"), 4), [4])
 
     def test_zero_shift_always_absorbable(self):
         rng = random.Random(83)

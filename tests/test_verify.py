@@ -3,10 +3,13 @@ failure reporting, and a spot check that the fast suites actually pass."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import lightsout.verify as verify_mod
-from lightsout.graphs import Graph
+from lightsout.game import is_AW
+from lightsout.graphs import Graph, complement, neighborhood_matrix
 from lightsout.toggling import ToggleCoset, TransferCheck
 from lightsout.verify import (
     APPENDIX_MODULI,
@@ -80,6 +83,23 @@ class TestRegistry:
             second.checks,
             second.failures,
         )
+
+
+class TestLemma46:
+    def test_one_check_per_aw_complement_and_modulus(self):
+        """The suite's single determinant per complement must pick out the
+        same (complement, modulus) pairs as is_AW on each built graph."""
+        want = 1  # the pruned-versus-unpruned search comparison
+        for n in (4, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for e in range(n // 2 + 1, n):
+                for edges in itertools.combinations(pairs, e):
+                    g = complement(Graph.from_edges(n, edges))
+                    for ell in (2, 3, 4, 5):
+                        want += is_AW(neighborhood_matrix(g, ell))
+        (res,) = run_suite("lemma-4-6")
+        assert res.passed, res.failures
+        assert res.checks == want == 4641
 
 
 class TestSuiteResult:

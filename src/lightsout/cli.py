@@ -90,7 +90,7 @@ def parse_matrix_file(path: str, ell: int) -> ZModMatrix:
     Input limit: at most MAX_MATRIX_DIM rows and columns, else UsageError
     (exit 2).  Diagonalisation is pure Python and cubic in the size: a
     dense 100x100 matrix mod 30 (the largest board in the benchmark is
-    100x100) takes about 0.3 s and a 400x400 one about 14 s (Python 3.11,
+    100x100) takes about 0.1 s and a 400x400 one about 6 s (Python 3.11,
     one core of a 2-vCPU VM).
     """
     rows: List[List[int]] = []

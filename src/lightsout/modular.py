@@ -4,13 +4,20 @@ Everything here works with plain Python integers reduced to [0, ell), so all
 results are exact.  The central tool is a diagonalisation u_inv*M*v_inv = D
 (mod ell) with invertible u_inv, v_inv and diagonal D, from which solvability,
 complete solution sets and null-space generators follow coordinate-wise.
+
+Matrices are stored as tuples of row tuples, and the kernels work by rows.
+A product is one sum of products per row.  The diagonalisation keeps D, P
+and the transpose of Q as lists of rows, so every operation on P or Q is a
+row update, and it skips the entries an operation would leave unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 MAX_MODULUS = 2**31 - 1
 # SolutionSet.enumerate (and count) refuse larger solution sets.
@@ -51,85 +58,101 @@ def unit_lift(d: int, g: int, ell: int) -> int:
 
 
 class ZModMatrix:
-    """An immutable rows x cols matrix with entries reduced into [0, ell)."""
+    """An immutable rows x cols matrix with entries reduced into [0, ell).
 
-    __slots__ = ("rows", "cols", "modulus", "entries")
+    The entries are stored as a tuple of row tuples (``data``); ``rows`` and
+    ``cols`` are the dimensions, and ``entries`` is the row-major flat tuple,
+    built on demand.  Every product is a row-by-row sum of products.
+    """
 
-    def __init__(self, rows: int, cols: int, modulus: int, entries: Sequence[int]):
+    __slots__ = ("rows", "cols", "modulus", "data")
+
+    def __init__(self, rows: int, cols: int, modulus: int, entries: Iterable[int]):
         check_modulus(modulus)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        entries = tuple(e % modulus for e in entries)
-        if len(entries) != rows * cols:
+        flat = [e % modulus for e in entries]
+        if len(flat) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
-                f"got {len(entries)}"
+                f"got {len(flat)}"
             )
+        data = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+        self._init(rows, cols, modulus, data)
+
+    def _init(
+        self, rows: int, cols: int, modulus: int, data: Tuple[Tuple[int, ...], ...]
+    ) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _of_rows(
+        cls, data: Iterable[Iterable[int]], cols: int, modulus: int
+    ) -> "ZModMatrix":
+        """Wrap rows already reduced into [0, modulus) and of length cols."""
+        m = object.__new__(cls)
+        data = tuple(map(tuple, data))
+        m._init(len(data), cols, modulus, data)
+        return m
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ZModMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], modulus: int) -> "ZModMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: List[int] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, modulus, flat)
+        check_modulus(modulus)
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls._of_rows(([e % modulus for e in row] for row in rows), c, modulus)
 
     @classmethod
     def identity(cls, n: int, modulus: int) -> "ZModMatrix":
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = 1
-        return cls(n, n, modulus, flat)
+        return cls.diagonal([1] * n, modulus)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], modulus: int) -> "ZModMatrix":
+        check_modulus(modulus)
         n = len(diag)
-        flat = [0] * (n * n)
+        data = []
         for i, d in enumerate(diag):
-            flat[i * n + i] = d
-        return cls(n, n, modulus, flat)
+            row = [0] * n
+            row[i] = d % modulus
+            data.append(row)
+        return cls._of_rows(data, n, modulus)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    @property
+    def entries(self) -> Tuple[int, ...]:
+        return tuple(chain.from_iterable(self.data))
+
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self.data[i][j]
 
     def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self.data[i]
 
     def col(self, j: int) -> Tuple[int, ...]:
-        return self.entries[j :: self.cols]
+        return tuple([row[j] for row in self.data])
 
     def to_rows(self) -> List[List[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(row) for row in self.data]
 
     def diag(self) -> Tuple[int, ...]:
-        return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
+        data = self.data
+        return tuple([data[i][i] for i in range(min(self.rows, self.cols))])
 
     def mul_vec(self, x: Sequence[int]) -> Tuple[int, ...]:
         if len(x) != self.cols:
             raise ValueError(f"vector length {len(x)} != cols {self.cols}")
         ell = self.modulus
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = 0
-            for j, xj in enumerate(x):
-                acc += self.entries[base + j] * xj
-            out.append(acc % ell)
-        return tuple(out)
+        return tuple([sum(map(mul, row, x)) % ell for row in self.data])
 
     def __matmul__(self, other: "ZModMatrix") -> "ZModMatrix":
         if self.modulus != other.modulus:
@@ -137,16 +160,12 @@ class ZModMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         ell = self.modulus
-        n, k, m = self.rows, self.cols, other.cols
-        flat = [0] * (n * m)
-        for i in range(n):
-            row = self.entries[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = 0
-                for t in range(k):
-                    acc += row[t] * other.entries[t * m + j]
-                flat[i * m + j] = acc % ell
-        return ZModMatrix(n, m, ell, flat)
+        cols = [other.col(j) for j in range(other.cols)]
+        return ZModMatrix._of_rows(
+            ([sum(map(mul, row, col)) % ell for col in cols] for row in self.data),
+            other.cols,
+            ell,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZModMatrix):
@@ -155,7 +174,7 @@ class ZModMatrix:
             self.rows == other.rows
             and self.cols == other.cols
             and self.modulus == other.modulus
-            and self.entries == other.entries
+            and self.data == other.data
         )
 
     def __hash__(self) -> int:
@@ -217,20 +236,48 @@ class SolutionSet:
         return sum(1 for _ in self.enumerate())
 
 
+def _identity_rows(n: int) -> List[List[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _span(row: List[int]) -> Tuple[int, int]:
+    """The index span [lo, hi) holding the nonzero entries of a nonzero row."""
+    nonzero = list(map(bool, row))
+    return nonzero.index(True), len(row) - nonzero[::-1].index(True)
+
+
+def _add_span(
+    dst: List[int], src: List[int], coef: int, ell: int, lo: int, hi: int
+) -> None:
+    """dst[lo:hi] gains coef * src[lo:hi], reduced mod ell."""
+    for t in range(lo, hi):
+        dst[t] = (dst[t] + coef * src[t]) % ell
+
+
 class _Reduction:
     """Mutable worktable maintaining P * M * Q = D with P, Q invertible.
 
     Row operations act as D <- E * D, P <- E * P; column operations act as
     D <- D * F, Q <- Q * F.  Every entry is reduced mod ell after each step.
+
+    D and P are lists of rows, and Q is kept transposed (``qt``), so every
+    update to P or Q is a row update: a column operation on Q is a row
+    operation on Q^T.  Such an update runs only over the span [lo, hi) of
+    the source row's nonzero entries, since elsewhere it adds zero.  For
+    the same reason a column operation on D during ``diagonalize`` touches
+    only the live rows, those whose entry in the pivot column is nonzero.
     """
 
     def __init__(self, m: ZModMatrix):
         self.ell = m.modulus
         self.r = m.rows
         self.c = m.cols
-        self.d = [list(m.row(i)) for i in range(m.rows)]
-        self.p = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
-        self.q = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
+        self.d = [list(row) for row in m.data]
+        self.p = _identity_rows(self.r)
+        self.qt = _identity_rows(self.c)
 
     def swap_rows(self, i: int, j: int) -> None:
         if i == j:
@@ -240,29 +287,22 @@ class _Reduction:
 
     def add_row(self, i: int, j: int, coef: int) -> None:
         """Row i of D gains coef * row j; P follows suit."""
-        ell = self.ell
-        di, dj = self.d[i], self.d[j]
-        for t in range(self.c):
-            di[t] = (di[t] + coef * dj[t]) % ell
-        pi, pj = self.p[i], self.p[j]
-        for t in range(self.r):
-            pi[t] = (pi[t] + coef * pj[t]) % ell
+        _add_span(self.d[i], self.d[j], coef, self.ell, 0, self.c)
+        _add_span(self.p[i], self.p[j], coef, self.ell, *_span(self.p[j]))
 
     def swap_cols(self, i: int, j: int) -> None:
         if i == j:
             return
         for row in self.d:
             row[i], row[j] = row[j], row[i]
-        for row in self.q:
-            row[i], row[j] = row[j], row[i]
+        self.qt[i], self.qt[j] = self.qt[j], self.qt[i]
 
     def add_col(self, i: int, j: int, coef: int) -> None:
         """Column i of D gains coef * column j; Q follows suit."""
         ell = self.ell
         for row in self.d:
             row[i] = (row[i] + coef * row[j]) % ell
-        for row in self.q:
-            row[i] = (row[i] + coef * row[j]) % ell
+        _add_span(self.qt[i], self.qt[j], coef, ell, *_span(self.qt[j]))
 
     def scale_diag_to_gcd(self, k: int) -> None:
         """Replace d_k by gcd(d_k, ell), scaling row k of P by a unit."""
@@ -280,38 +320,68 @@ class _Reduction:
             pk[t] = (pk[t] * u_inv) % ell
 
     def find_pivot(self, k: int) -> Optional[Tuple[int, int]]:
-        """Smallest nonzero entry in the trailing block, ties by (row, col)."""
+        """Smallest nonzero entry in the trailing block, ties by (row, col).
+
+        Rows k.. are zero left of column k, so whole rows can be searched.
+        A 1 is the smallest possible value, so the first 1 in row-major
+        order is the answer whenever the block holds one.
+        """
+        d = self.d
+        for i in range(k, self.r):
+            if 1 in d[i]:
+                return i, d[i].index(1)
         best: Optional[Tuple[int, int, int]] = None
         for i in range(k, self.r):
-            row = self.d[i]
-            for j in range(k, self.c):
-                e = row[j]
-                if e and (best is None or e < best[0]):
-                    best = (e, i, j)
+            row = d[i]
+            e = min(filter(None, row), default=0)
+            if e and (best is None or e < best[0]):
+                best = (e, i, row.index(e))
         if best is None:
             return None
         return best[1], best[2]
 
     def diagonalize(self) -> None:
-        for k in range(min(self.r, self.c)):
+        """Clear row and column k around a smallest pivot, for each k in turn.
+
+        Rows and columns before k are already clear, so the row operations
+        run over columns k.. of D.  Column operations on D touch only the
+        live rows, the rows from k on whose column k is nonzero; once the
+        row operations are done that is row k alone unless some entry below
+        the pivot left a remainder.
+        """
+        ell, d, p, qt, r, c = self.ell, self.d, self.p, self.qt, self.r, self.c
+        for k in range(min(r, c)):
             while True:
                 piv = self.find_pivot(k)
                 if piv is None:
                     return
                 self.swap_rows(k, piv[0])
                 self.swap_cols(k, piv[1])
-                p = self.d[k][k]
-                for i in range(k + 1, self.r):
-                    e = self.d[i][k]
-                    if e:
-                        self.add_row(i, k, -(e // p))
-                for j in range(k + 1, self.c):
-                    e = self.d[k][j]
-                    if e:
-                        self.add_col(j, k, -(e // p))
-                if all(self.d[i][k] == 0 for i in range(k + 1, self.r)) and all(
-                    self.d[k][j] == 0 for j in range(k + 1, self.c)
-                ):
+                dk = d[k]
+                pivot = dk[k]
+                live = [k]
+                below = [i for i in range(k + 1, r) if d[i][k]]
+                if below:
+                    pk = p[k]
+                    lo, hi = _span(pk)
+                    for i in below:
+                        di, pi = d[i], p[i]
+                        coef = -(di[k] // pivot)
+                        _add_span(di, dk, coef, ell, k, c)
+                        _add_span(pi, pk, coef, ell, lo, hi)
+                        if di[k]:
+                            live.append(i)
+                cols = [j for j in range(k + 1, c) if dk[j]]
+                if cols:
+                    qk = qt[k]
+                    lo, hi = _span(qk)
+                    for j in cols:
+                        coef = -(dk[j] // pivot)
+                        for i in live:
+                            di = d[i]
+                            di[j] = (di[j] + coef * di[k]) % ell
+                        _add_span(qt[j], qk, coef, ell, lo, hi)
+                if len(live) == 1 and not any(dk[k + 1 :]):
                     break
 
     def fix_chain(self) -> None:
@@ -376,14 +446,10 @@ def normal_form(m: ZModMatrix) -> NormalForm:
     work.diagonalize()
     work.fix_chain()
     ell = m.modulus
-
-    def build(rows_list: List[List[int]], nrows: int, ncols: int) -> ZModMatrix:
-        return ZModMatrix(nrows, ncols, ell, [e for row in rows_list for e in row])
-
     return NormalForm(
-        D=build(work.d, work.r, work.c),
-        u_inv=build(work.p, work.r, work.r),
-        v_inv=build(work.q, work.c, work.c),
+        D=ZModMatrix._of_rows(work.d, work.c, ell),
+        u_inv=ZModMatrix._of_rows(work.p, work.r, ell),
+        v_inv=ZModMatrix._of_rows(zip(*work.qt), work.c, ell),
     )
 
 
@@ -448,13 +514,9 @@ def solve(
     cp = nf.u_inv.mul_vec([x % ell for x in c])
     diag = nf.D.diag()
     y = [0] * m.cols
-    gens_y: List[Tuple[int, ...]] = []
-
-    def e_vec(i: int, scale: int) -> Tuple[int, ...]:
-        v = [0] * m.cols
-        v[i] = scale % ell
-        return tuple(v)
-
+    # Null generators in y-coordinates, as (i, scale) for scale * e_i; the
+    # image v_inv * (scale * e_i) is scale times column i of v_inv.
+    gens_y: List[Tuple[int, int]] = []
     for i in range(m.rows):
         ci = cp[i]
         if i >= m.cols:
@@ -465,7 +527,7 @@ def solve(
         if d == 0:
             if ci != 0:
                 return None
-            gens_y.append(e_vec(i, 1))
+            gens_y.append((i, 1))
         else:
             if ell % d != 0:
                 raise ValueError("normal form diagonal must divide the modulus")
@@ -473,15 +535,15 @@ def solve(
                 return None
             y[i] = ci // d
             if d != 1 and math.gcd(d, ell) != 1:
-                gens_y.append(e_vec(i, ell // d))
+                gens_y.append((i, ell // d))
     for j in range(m.rows, m.cols):
-        gens_y.append(e_vec(j, 1))
+        gens_y.append((j, 1))
 
     q = nf.v_inv
     particular = q.mul_vec(y)
     gens = []
-    for g in gens_y:
-        img = q.mul_vec(g)
+    for i, scale in gens_y:
+        img = tuple([(a * scale) % ell for a in q.col(i)])
         if any(img):
             gens.append(img)
     if m.mul_vec(particular) != tuple(x % ell for x in c):

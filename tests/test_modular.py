@@ -132,6 +132,54 @@ class TestZModMatrix:
         with pytest.raises(ValueError):
             _ = ZModMatrix.identity(2, 3) @ ZModMatrix.identity(2, 5)
 
+    def test_accessors_and_flat_entries(self):
+        m = ZModMatrix(2, 3, 7, [1, 2, 3, 4, 5, 13])
+        assert m.rows == 2 and m.cols == 3
+        assert type(m.entries) is tuple
+        assert m.entries == (1, 2, 3, 4, 5, 6)
+        assert m.row(1) == (4, 5, 6)
+        assert m.col(2) == (3, 6)
+        assert m.entry(1, 0) == 4
+        assert m.diag() == (1, 5)
+        assert repr(m) == "ZModMatrix([[1, 2, 3], [4, 5, 6]], modulus=7)"
+
+    def test_value_semantics_across_constructors(self):
+        a = ZModMatrix(2, 2, 5, [1, 2, 3, 4])
+        b = ZModMatrix.from_rows([[6, 7], [-2, 9]], 5)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((2, 2, 5, (1, 2, 3, 4)))
+        assert a != ZModMatrix(2, 2, 7, [1, 2, 3, 4])
+        assert a != ZModMatrix(1, 4, 5, [1, 2, 3, 4])
+        assert ZModMatrix.identity(2, 5) == ZModMatrix.diagonal([6, 1], 5)
+        assert len({a, b, ZModMatrix.identity(2, 5)}) == 2
+
+    def test_empty_dimensions(self):
+        no_rows = ZModMatrix(0, 3, 5, [])
+        no_cols = ZModMatrix(3, 0, 5, [])
+        assert no_rows != ZModMatrix(0, 2, 5, [])
+        assert no_cols != ZModMatrix(2, 0, 5, [])
+        assert no_rows.entries == () and no_cols.entries == ()
+        assert no_cols.row(2) == () and no_rows.col(0) == ()
+        assert no_rows.mul_vec([1, 2, 3]) == ()
+        assert no_cols.mul_vec([]) == (0, 0, 0)
+        assert no_cols @ no_rows == ZModMatrix(3, 3, 5, [0] * 9)
+        assert no_rows @ no_cols == ZModMatrix(0, 0, 5, [])
+        assert (no_rows @ ZModMatrix.identity(3, 5)) == no_rows
+        assert (ZModMatrix.identity(3, 5) @ no_cols) == no_cols
+        assert ZModMatrix.from_rows([], 5) == ZModMatrix(0, 0, 5, [])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_normal_form_of_empty_dimensions(self, shape):
+        r, c = shape
+        m = ZModMatrix(r, c, 6, [])
+        nf = normal_form(m)
+        assert nf.D == m
+        assert nf.u_inv == ZModMatrix.identity(r, 6)
+        assert nf.v_inv == ZModMatrix.identity(c, 6)
+        sol = solve(m, [0] * r)
+        assert sol.particular == (0,) * c
+        assert sol.null_generators == tuple(ZModMatrix.identity(c, 6).data)
+
 
 class TestUnitLift:
     @pytest.mark.parametrize("ell", RINGS_TO_TEST)

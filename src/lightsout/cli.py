@@ -31,7 +31,7 @@ from .graphs import (
     named_graph,
     neighborhood_matrix,
 )
-from .modular import ZModMatrix, normal_form
+from .modular import MAX_ENUMERATED_SOLUTIONS, ZModMatrix, normal_form
 from .search import FULL_ENUMERATION_MAX_N, max_size_search
 from .toggling import minimal_nonempty_r, toggling_numbers
 from .verify import run_suite, suite_names
@@ -210,6 +210,9 @@ def cmd_winnable(args: argparse.Namespace) -> int:
 
 
 def cmd_toggling(args: argparse.Namespace) -> int:
+    """Input limit: a toggling set of more than MAX_ENUMERATED_SOLUTIONS
+    members is not listed; UsageError (exit 2), nothing on stdout.
+    """
     g, matrix = _game_matrix(args)
     if not matrix.is_square:
         raise UsageError("toggling sets need a square game matrix")
@@ -223,6 +226,13 @@ def cmd_toggling(args: argparse.Namespace) -> int:
             raise UsageError(f"subset vertices out of range: {bad}")
     nf = normal_form(matrix)
     coset = toggling_numbers(matrix, subset, args.r, nf=nf)
+    ell = matrix.modulus
+    size = 0 if coset.empty else ell // (coset.generator or ell)
+    if size > MAX_ENUMERATED_SOLUTIONS:
+        raise UsageError(
+            f"toggling set has {size} members, over the listing limit"
+            f" of {MAX_ENUMERATED_SOLUTIONS}"
+        )
     inputs = _graph_inputs(args, g)
     inputs["subset"] = subset
     inputs["r"] = args.r

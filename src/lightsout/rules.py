@@ -8,10 +8,8 @@ RuleDisagreement with a JSON counterexample instead of returning quietly.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -26,8 +24,8 @@ from .graphs import (
     neighborhood_matrix,
     path_graph,
 )
-from .modular import AuditError, NormalForm, check_modulus, normal_form
-from .toggling import ToggleCoset, minimal_nonempty_r, toggling_numbers
+from .modular import AuditError, NormalForm, ZModMatrix, check_modulus, normal_form
+from .toggling import minimal_nonempty_r, toggling_numbers
 
 
 @dataclass(frozen=True)
@@ -214,12 +212,11 @@ def subsetjoinaw_check(g: Graph, ell: int) -> ReductionOutcome:
     if not any(g.degree(v) == 1 for v in range(g.n)):
         raise ValueError("rule requires a pendant vertex")
     coset = toggling_numbers(mat, range(g.n), 1)
-    members = coset.members()
-    if len(members) != 1:
+    if coset.empty or coset.generator != 0:
         raise AuditError(
             "toggling set of an invertible game must be a singleton"
         )
-    t = members[0]
+    t = coset.base
     predicted = math.gcd(1 + t, ell) == 1
     direct = is_AW(neighborhood_matrix(complement(g), ell))
     return _audited(
@@ -257,13 +254,16 @@ def pendantremove_dompen(g: Graph, p: int, ell: int) -> ReductionOutcome:
 
 @dataclass(frozen=True)
 class PendantConditions:
-    """Evaluation of the two pendant-removal winnability conditions."""
+    """Evaluation of the two pendant-removal winnability conditions.
+
+    counterexample is None when condition one holds, else the first
+    labeling in itertools.product order that no all-vertex shift clears.
+    """
 
     shifts_cover_all_labelings: bool
     coefficient_congruence_solvable: bool
     predicted: bool
     direct: bool
-    exhaustive: bool
     r: int
     t: int
     counterexample: Optional[Tuple[int, ...]]
@@ -273,101 +273,63 @@ class PendantConditions:
         return self.predicted == self.direct
 
 
-def _all_labelings_shift_winnable(
-    nf: NormalForm,
-    ell: int,
-    max_exhaustive: int,
-    sample: Optional[int],
-    seed: int,
-) -> Tuple[bool, bool, Optional[Tuple[int, ...]]]:
-    """Does every labeling admit a winnable all-vertex shift?
+def _unshiftable_labeling(
+    mat: ZModMatrix, nf: NormalForm, r: int
+) -> Optional[Tuple[int, ...]]:
+    """The first labeling no all-vertex shift clears, or None if none is.
 
-    Returns (answer, exhaustive, counterexample) for the adjacency game
-    diagonalised as u_inv * A * v_inv = D.  With m_i = d_i, or ell where
-    d_i = 0, a labeling pi is cleared by some shift exactly when the class
-    of u_inv * pi in Q = Z_{m_1} + ... + Z_{m_n} lies in the cyclic subgroup
-    H generated by the class of u_inv * 1.  Since u_inv is invertible,
-    pi -> [u_inv * pi] maps onto Q, so the answer is |H| == |Q|, decided
-    from at most ell classes.  Per-labeling work happens only when the
-    answer is False: the exhaustive mode then walks labelings in
-    itertools.product order to the first class outside H, and the sampled
-    mode tests each seeded draw.
+    With u_inv * A * v_inv = D and m_i = d_i (ell where d_i = 0), the
+    shifts of a labeling pi reach the classes [u_inv * pi] + <w> of
+    Q = Z_{m_1} + ... + Z_{m_n}, where w = [u_inv * 1].  Since pi ->
+    [u_inv * pi] maps onto Q, every labeling is covered exactly when w
+    generates Q, that is when its order r equals the product of the m_i.
+    Otherwise the labelings some shift clears form the image K of [A | 1].
+    In itertools.product order the labelings that are zero on coordinates
+    0..j come first, so the first labeling outside K is the unit vector e_j
+    for the largest j with e_j outside K.  With u_inv' [A | 1] v_inv' = D'
+    and m'_i likewise, e_j lies in K exactly when m'_i divides entry i of
+    column j of u_inv' for every i.
     """
-    n = nf.u_inv.rows
-    total = ell**n
-    exhaustive = total <= max_exhaustive
-    if not exhaustive and sample is None:
-        raise ValueError(
-            f"{ell}^{n} labelings exceed the exhaustive gate "
-            f"({max_exhaustive}); pass a sample size"
-        )
-    diag = nf.D.diag()
-    # Coordinates with m_i = 1 carry no information; every m_i divides ell.
-    rows = [i for i in range(n) if diag[i] != 1]
-    mods = [diag[i] or ell for i in rows]
-
-    def cls(v: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(v[i] % m for i, m in zip(rows, mods))
-
-    w_one = cls(nf.u_inv.mul_vec([1] * n))
-    subgroup = {
-        tuple(s * w % m for w, m in zip(w_one, mods)) for s in range(ell)
-    }
-    if len(subgroup) == math.prod(mods):
-        return True, exhaustive, None
-    if exhaustive:
-        for pi in itertools.product(range(ell), repeat=n):
-            if cls(nf.u_inv.mul_vec(pi)) not in subgroup:
-                return False, True, pi
-        raise AuditError(
-            "shift subgroup is proper but every labeling is shift-winnable"
-        )
-    rng = random.Random(seed)
-    for _ in range(sample):
-        pi = tuple(rng.randrange(ell) for _ in range(n))
-        if cls(nf.u_inv.mul_vec(pi)) not in subgroup:
-            return False, False, pi
-    return True, False, None
+    ell = mat.modulus
+    if r == math.prod(d or ell for d in nf.D.diag()):
+        return None
+    n = mat.rows
+    rows = [row + [1] for row in mat.to_rows()]
+    joined = normal_form(ZModMatrix.from_rows(rows, ell))
+    mods = [d or ell for d in joined.D.diag()]
+    for j in reversed(range(n)):
+        if any(u % m for u, m in zip(joined.u_inv.col(j), mods)):
+            return tuple(int(i == j) for i in range(n))
+    raise AuditError("shift subgroup is proper but every labeling is shift-winnable")
 
 
-def pendantremove_conditions(
-    g: Graph,
-    p: int,
-    ell: int,
-    *,
-    max_exhaustive: int = 2**20,
-    sample: Optional[int] = None,
-    seed: int = 0,
-) -> PendantConditions:
+def pendantremove_conditions(g: Graph, p: int, ell: int) -> PendantConditions:
     """Both pendant-removal conditions against the direct complement check.
 
-    Condition one: every labeling has some all-vertex shift that is
-    adjacency-winnable.  Condition two: with r the minimal positive shift
-    whose toggling set is non-empty and t any of its members, every z admits
-    q in the null-sum subgroup with (r + t) x = z + q solvable.  Their
-    conjunction must equal direct neighborhood-AW of the complement; the
-    equality is only guaranteed (and enforced) in exhaustive mode.  The
-    adjacency matrix is diagonalised once and shared by both conditions.
+    Condition one: every labeling has an all-vertex shift that is
+    adjacency-winnable; it holds exactly when r, the least shift with a
+    non-empty toggling set (else ell), equals the product of the m_i (see
+    _unshiftable_labeling).  Condition two: with t a toggling number at
+    shift r and g0 the generator of the zero-shift toggling set, every z
+    has q in <g0> with (r + t) x = z + q solvable, that is
+    gcd(g0 or ell, r + t) == 1.  Their conjunction must equal direct
+    neighborhood-AW of the complement, for every n and ell.  The adjacency
+    matrix is diagonalised once for both conditions, and [A | 1] only when
+    condition one fails.
     """
     check_modulus(ell)
     _pendant_neighbor(g, p)
     mat = adjacency_matrix(g, ell)
     nf = normal_form(mat)
-    scan = minimal_nonempty_r(mat, range(g.n), nf=nf)
-    r = scan if scan else ell
+    r = minimal_nonempty_r(mat, range(g.n), nf=nf) or ell
     t_coset = toggling_numbers(mat, range(g.n), r % ell, nf=nf)
     if t_coset.empty:
         raise AuditError("toggling set at the minimal non-empty shift is empty")
     t = t_coset.base
-    zero_coset = toggling_numbers(mat, range(g.n), 0, nf=nf)
-    null_sums = zero_coset.members()
-    coeff_gcd = math.gcd(r + t, ell)
-    cond_b = all(
-        any((z + q) % coeff_gcd == 0 for q in null_sums) for z in range(ell)
-    )
-    cond_a, exhaustive, witness = _all_labelings_shift_winnable(
-        nf, ell, max_exhaustive, sample, seed
-    )
+    null_gen = toggling_numbers(mat, range(g.n), 0, nf=nf).generator
+    cond_b = math.gcd(null_gen or ell, r + t) == 1
+    witness = _unshiftable_labeling(mat, nf, r)
+    cond_a = witness is None
     predicted = cond_a and cond_b
     direct = is_AW(neighborhood_matrix(complement(g), ell))
     result = PendantConditions(
@@ -375,14 +337,11 @@ def pendantremove_conditions(
         coefficient_congruence_solvable=cond_b,
         predicted=predicted,
         direct=direct,
-        exhaustive=exhaustive,
         r=r,
         t=t,
         counterexample=witness,
     )
-    # A sampled run can only certify the negative direction, so mismatches
-    # with predicted True are inconclusive there rather than fatal.
-    if not result.agree and (exhaustive or not predicted):
+    if not result.agree:
         raise RuleDisagreement(
             ReductionOutcome(
                 rule="pendantremove_conditions",

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Iterator, List, Tuple, Union
 from .game import (
     cycle_lambda_winnable,
     cycle_shift_canonical,
+    exists_shift_winnable,
     is_AW,
     lambda_labeling,
     shift_labeling,
@@ -361,9 +362,13 @@ def _suite_thm_3_6(seed: int) -> _Recorder:
                     f" mod {ell}",
                 )
                 conditions = pendantremove_conditions(g, p, ell)
+                witness = conditions.counterexample
                 rec.check(
-                    conditions.exhaustive,
-                    lambda: f"sweep unexpectedly sampled on {g!r} mod {ell}",
+                    witness is None
+                    if conditions.shifts_cover_all_labelings
+                    else exists_shift_winnable(g, witness, ell) is None,
+                    lambda: f"shift counterexample {witness} wrong on {g!r}"
+                    f" mod {ell}",
                 )
                 rec.check(
                     conditions.agree,

@@ -328,6 +328,40 @@ class TestTogglingCommand:
         )
         assert code == 2 and "out of range" in err
 
+    @staticmethod
+    def _whole_group_argv(ell):
+        # The adjacency game of one vertex absorbs every toggle, so its
+        # zero-shift toggling set is all of Z_ell.
+        return [
+            "toggling",
+            "--graph",
+            "edges:1:",
+            "--game",
+            "adjacency",
+            "--modulus",
+            str(ell),
+            "--subset",
+            "all",
+            "--r",
+            "0",
+        ]
+
+    def test_member_list_over_limit_exits_two(self, capsys):
+        code, report, err = run_cli(
+            capsys, self._whole_group_argv(2147483647)
+        )
+        assert code == 2 and report is None
+        assert "listing limit" in err
+
+    def test_member_list_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "MAX_ENUMERATED_SOLUTIONS", 12)
+        code, report, _ = run_cli(capsys, self._whole_group_argv(12))
+        assert code == 0
+        assert report["result"]["members"] == list(range(12))
+        code, report, err = run_cli(capsys, self._whole_group_argv(13))
+        assert code == 2 and report is None
+        assert "13 members" in err
+
 
 class TestMaxsizeCommand:
     def test_order_five_modulus_four(self, capsys):

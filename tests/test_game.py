@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -137,11 +138,15 @@ class TestWinnable:
             right = winnable(neighborhood_matrix(g2, ell), pi[g1.n :]) is not None
             assert whole == (left and right)
 
-    def test_failed_replay_raises_audit_error(self, monkeypatch):
-        monkeypatch.setattr(game_mod, "apply_toggles", lambda m, pi, x: (1,) * m.rows)
+    def test_corrupted_normal_form_fails_solve_check(self):
+        # A zero v_inv turns every particular solution into 0, which does
+        # not clear a nonzero labeling; solve's audit must catch it.
         m = neighborhood_matrix(named_graph("path4"), 3)
-        with pytest.raises(AuditError, match="failed replay"):
-            winnable(m, (1, 0, 0, 0))
+        bad = dataclasses.replace(
+            normal_form(m), v_inv=ZModMatrix(4, 4, 3, [0] * 16)
+        )
+        with pytest.raises(AuditError, match="particular solution failed check"):
+            winnable(m, (1, 0, 0, 0), nf=bad)
 
 
 class TestIsAW:

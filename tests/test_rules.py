@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from functools import lru_cache
 
 import pytest
@@ -30,7 +31,7 @@ from lightsout.graphs import (
     neighborhood_matrix,
     path_graph,
 )
-from lightsout.modular import AuditError, NormalForm, ZModMatrix, normal_form
+from lightsout.modular import AuditError, normal_form
 from lightsout.rules import (
     PathViolation,
     ReductionOutcome,
@@ -264,7 +265,6 @@ class TestPendantRemoveConditions:
                 if not leaves:
                     continue
                 res = pendantremove_conditions(g, leaves[0], ell)
-                assert res.exhaustive
                 assert res.agree, f"{g!r} ell={ell}"
 
     def test_aw_graph_reduces_to_gcd_criterion(self):
@@ -283,18 +283,37 @@ class TestPendantRemoveConditions:
         assert not res.shifts_cover_all_labelings
         assert not res.direct
 
-    def test_gate_requires_sample(self):
-        g = corona_pendant(path_graph(4))
-        with pytest.raises(ValueError):
-            pendantremove_conditions(g, 4, 7, max_exhaustive=10)
-
-    def test_sampled_mode_flags_incomplete(self):
-        g = corona_pendant(path_graph(4))
-        res = pendantremove_conditions(
-            g, 4, 7, max_exhaustive=10, sample=25, seed=1
-        )
-        assert not res.exhaustive
+    def test_corona_p4_mod_7_is_exact(self):
+        # 7^8 labelings: beyond any labeling sweep, decided in closed form.
+        res = pendantremove_conditions(corona_pendant(path_graph(4)), 4, 7)
         assert res.agree
+        assert res.shifts_cover_all_labelings
+        assert res.counterexample is None
+
+    @pytest.mark.parametrize(
+        "name, ell, covered",
+        [
+            ("corona-p4", 2**31 - 1, True),
+            # Both cycles are adjacency-invertible mod the prime 2^31 - 1;
+            # an even modulus lets the two odd cycles block condition one.
+            ("c3-c5-p2", 2**31 - 1, True),
+            ("c3-c5-p2", 2**31 - 2, False),
+        ],
+    )
+    def test_largest_moduli_finish_fast(self, name, ell, covered):
+        if name == "corona-p4":
+            g, p = corona_pendant(path_graph(4)), 4
+        else:
+            g = disjoint_union(
+                disjoint_union(cycle_graph(3), cycle_graph(5)), path_graph(2)
+            )
+            p = g.n - 2
+        started = time.perf_counter()
+        res = pendantremove_conditions(g, p, ell)
+        assert time.perf_counter() - started < 1.0
+        assert res.agree
+        assert res.shifts_cover_all_labelings == covered
+        assert (res.counterexample is None) == covered
 
     def test_empty_toggling_set_raises(self, monkeypatch):
         def empty(m, u_set, r, nf=None):
@@ -305,11 +324,11 @@ class TestPendantRemoveConditions:
             pendantremove_conditions(named_graph("path4"), 0, 5)
 
 
-def reference_shift_sweep(nf, ell, max_exhaustive, sample, seed):
+def reference_shift_sweep(nf, ell):
     """Oracle: the per-labeling sweep the shift-subgroup criterion replaced.
 
-    Every labeling (or every seeded draw) is moved by u_inv and tested
-    against each of the ell shifts coordinate-wise on the diagonal.
+    Every labeling is moved by u_inv and tested against each of the ell
+    shifts coordinate-wise on the diagonal, in itertools.product order.
     """
     diag = nf.D.diag()
     n = nf.u_inv.rows
@@ -327,26 +346,31 @@ def reference_shift_sweep(nf, ell, max_exhaustive, sample, seed):
                 return True
         return False
 
-    if ell**n <= max_exhaustive:
-        for pi in itertools.product(range(ell), repeat=n):
-            if not some_shift_clears(pi):
-                return False, True, pi
-        return True, True, None
-    if sample is None:
-        raise ValueError("sample size required")
-    rng = random.Random(seed)
-    for _ in range(sample):
-        pi = tuple(rng.randrange(ell) for _ in range(n))
+    for pi in itertools.product(range(ell), repeat=n):
         if not some_shift_clears(pi):
-            return False, False, pi
-    return True, False, None
+            return pi
+    return None
 
 
-def shift_sweep(g, ell, max_exhaustive=2**20, sample=None, seed=0):
-    nf = normal_form(adjacency_matrix(g, ell))
-    return rules_mod._all_labelings_shift_winnable(
-        nf, ell, max_exhaustive, sample, seed
+def reference_congruence(mat, nf, r, t):
+    """Oracle: condition two by the sweep over z and the null-sum members."""
+    ell = mat.modulus
+    null_sums = toggling_mod.toggling_numbers(
+        mat, range(mat.rows), 0, nf=nf
+    ).members()
+    coeff_gcd = math.gcd(r + t, ell)
+    return all(
+        any((z + q) % coeff_gcd == 0 for q in null_sums) for z in range(ell)
     )
+
+
+def shift_cover(g, ell):
+    """(mat, nf, r, t, counterexample) as pendantremove_conditions has them."""
+    mat = adjacency_matrix(g, ell)
+    nf = normal_form(mat)
+    r = toggling_mod.minimal_nonempty_r(mat, range(g.n), nf=nf) or ell
+    t = toggling_mod.toggling_numbers(mat, range(g.n), r % ell, nf=nf).base
+    return mat, nf, r, t, rules_mod._unshiftable_labeling(mat, nf, r)
 
 
 @lru_cache(maxsize=None)
@@ -377,48 +401,40 @@ class TestShiftSubgroupSweep:
         # Whether every labeling has a clearing shift does not depend on
         # the vertex labels, so the reference runs in full once per
         # isomorphism class; a False class is re-run on every labeled copy,
-        # since the first counterexample depends on the labels.
+        # since the first counterexample depends on the labels.  Graphs
+        # with a pendant vertex also go through pendantremove_conditions,
+        # whose congruence is compared against the z-sweep.
         class_answer = {}
-        compared = failing = 0
+        compared = failing = pendant = 0
         for n in range(1, 6):
             if ell**n > 8000:
                 continue
             for g, key in labeled_graphs_with_class(n):
-                nf = normal_form(adjacency_matrix(g, ell))
-                got = rules_mod._all_labelings_shift_winnable(
-                    nf, ell, 2**20, None, 0
-                )
+                mat, nf, r, t, got = shift_cover(g, ell)
                 if class_answer.get(key) is True:
-                    expected = (True, True, None)
+                    expected = None
                 else:
-                    expected = reference_shift_sweep(nf, ell, 2**20, None, 0)
-                    class_answer[key] = expected[0]
+                    expected = reference_shift_sweep(nf, ell)
+                    class_answer[key] = expected is None
                 assert got == expected, f"{g!r} mod {ell}"
                 compared += 1
-                failing += not expected[0]
+                failing += expected is not None
+                leaves = [v for v in range(n) if g.degree(v) == 1]
+                if leaves:
+                    res = pendantremove_conditions(g, leaves[0], ell)
+                    assert (res.r, res.t, res.counterexample) == (r, t, got)
+                    assert res.coefficient_congruence_solvable == (
+                        reference_congruence(mat, nf, r, t)
+                    ), f"{g!r} mod {ell}"
+                    pendant += 1
         assert compared == 1 + 2 + 8 + 64 + 1024
         assert 0 < failing < compared
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_sampled_mode_matches_reference(self, seed):
-        covered = corona_pendant(path_graph(4))
-        blocked = disjoint_union(
-            disjoint_union(cycle_graph(3), cycle_graph(5)), path_graph(2)
-        )
-        for g, ell in ((covered, 7), (blocked, 2), (blocked, 4)):
-            args = (normal_form(adjacency_matrix(g, ell)), ell, 10, 25, seed)
-            got = rules_mod._all_labelings_shift_winnable(*args)
-            assert got == reference_shift_sweep(*args)
-            assert got[0] == (g is covered) and not got[1]
-
-    def test_gate_without_sample(self):
-        with pytest.raises(ValueError, match="exhaustive gate"):
-            shift_sweep(path_graph(3), 2, max_exhaustive=7)
+        assert 0 < pendant < compared
 
     def test_counterexample_is_first_in_product_order(self):
         g = disjoint_union(cycle_graph(4), path_graph(2))
-        answer, exhaustive, witness = shift_sweep(g, 2)
-        assert (answer, exhaustive) == (False, True)
+        witness = shift_cover(g, 2)[-1]
+        assert witness is not None
         labelings = list(itertools.product(range(2), repeat=g.n))
         earlier = labelings[: labelings.index(witness)]
         assert all(
@@ -427,16 +443,15 @@ class TestShiftSubgroupSweep:
         )
         assert exists_shift_winnable(g, witness, 2) is None
 
-    def test_audit_when_subgroup_and_walk_disagree(self):
-        # A non-invertible u_inv sends every labeling into the subgroup, so
-        # the proper-subgroup verdict has no counterexample to back it.
-        fake = NormalForm(
-            D=ZModMatrix.diagonal([0], 2),
-            u_inv=ZModMatrix.from_rows([[0]], 2),
-            v_inv=ZModMatrix.identity(1, 2),
+    def test_audit_when_subgroup_and_walk_disagree(self, monkeypatch):
+        # A wrong shift order on an adjacency-AW game claims a proper shift
+        # subgroup, but every labeling is clearable, so no unit vector can
+        # back the verdict.
+        monkeypatch.setattr(
+            rules_mod, "minimal_nonempty_r", lambda m, u_set, nf=None: 2
         )
         with pytest.raises(AuditError, match="shift subgroup"):
-            rules_mod._all_labelings_shift_winnable(fake, 2, 2**20, None, 0)
+            pendantremove_conditions(named_graph("path4"), 0, 4)
 
     def test_conditions_diagonalise_the_game_once(self, monkeypatch):
         calls = []

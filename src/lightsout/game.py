@@ -9,6 +9,7 @@ that put a on one vertex, b on the next, and 0 elsewhere.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .graphs import Graph, adjacency_matrix, cycle_graph
@@ -18,7 +19,6 @@ from .modular import (
     ZModMatrix,
     check_modulus,
     is_invertible,
-    normal_form,
     solve,
 )
 
@@ -140,12 +140,23 @@ def cycle_shift_canonical(
 def exists_shift_winnable(
     g: Graph, pi: Sequence[int], ell: int
 ) -> Optional[int]:
-    """Smallest s for which pi shifted by s everywhere clears, else None."""
+    """Smallest s for which pi shifted by s everywhere clears, else None.
+
+    The pairs (x, s) with A x + s 1 = -pi are the solutions y of
+    [A | 1] y = -pi, so one solve decides every shift.  Their s parts form
+    the coset s0 + <h> of Z_ell, where h is the gcd of ell and the last
+    entries of the null generators, and the least shift is s0 mod h.
+    """
     check_modulus(ell)
-    mat = adjacency_matrix(g, ell)
-    nf = normal_form(mat)
-    for s in range(ell):
-        shifted = shift_labeling(pi, range(g.n), s, ell)
-        if winnable(mat, shifted, nf=nf) is not None:
-            return s
-    return None
+    n = g.n
+    if len(pi) != n:
+        raise ValueError(f"labeling length {len(pi)} != rows {n}")
+    rows = adjacency_matrix(g, ell).data
+    joined = ZModMatrix(n, n + 1, ell, [e for row in rows for e in row + (1,)])
+    sol = solve(joined, [(-p) % ell for p in pi])
+    if sol is None:
+        return None
+    h = ell
+    for gen in sol.null_generators:
+        h = math.gcd(h, gen[-1])
+    return sol.particular[-1] % h

@@ -326,8 +326,9 @@ def pendantremove_conditions(g: Graph, p: int, ell: int) -> PendantConditions:
     if t_coset.empty:
         raise AuditError("toggling set at the minimal non-empty shift is empty")
     t = t_coset.base
-    null_gen = toggling_numbers(mat, range(g.n), 0, nf=nf).generator
-    cond_b = math.gcd(null_gen or ell, r + t) == 1
+    # solve's null generators depend only on nf, so every non-empty shift
+    # coset, t_coset included, has the zero-shift generator g0.
+    cond_b = math.gcd(t_coset.generator or ell, r + t) == 1
     witness = _unshiftable_labeling(mat, nf, r)
     cond_a = witness is None
     predicted = cond_a and cond_b

@@ -59,6 +59,12 @@ CONJECTURED = "CONJECTURED"
 # canonical_adjacency_bits, since an asymmetric graph has n! relabelings.
 FULL_ENUMERATION_MAX_N = 10
 
+# Most candidate complements one edge count may have before the scan
+# refuses it.  One process tests 60k-240k candidates/s (Python 3.11, one
+# core of a 2-vCPU VM: 58k/s at (8, 210) e = 7, 244k/s at (10, 210) e = 6),
+# so an accepted edge count takes at most about 35 s.
+MAX_SCAN_CANDIDATES = 2_000_000
+
 
 def minimal_coprime_k(n: int, ell: int) -> int:
     """Smallest k >= 0 with gcd(n - 2k - 1, ell) = 1 (n even).
@@ -440,14 +446,11 @@ def max_size_search(
     guaranteed to reach by n - 1.  bounded_cap limits the scan to
     complements of at most that many edges (mandatory above
     FULL_ENUMERATION_MAX_N vertices) and raises RuntimeError if the cap
-    is exhausted first.
+    is exhausted first.  An edge count with more than MAX_SCAN_CANDIDATES
+    candidates raises ValueError before it is scanned.
     """
     started = time.perf_counter()
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an int, got {type(n).__name__}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    check_modulus(ell)
+    conj = conjectured_max(n, ell)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     if bounded_cap is None:
@@ -466,6 +469,11 @@ def max_size_search(
     winners: List[int] = []
     found_e = None
     for e in range(n // 2, e_stop + 1):
+        if math.comb(npairs, e) > MAX_SCAN_CANDIDATES:
+            raise ValueError(
+                f"complement edge count {e} gives C({npairs}, {e}) candidates,"
+                f" over the scan limit of {MAX_SCAN_CANDIDATES:,}"
+            )
         winners = _scan_edge_count(n, ell, e, prune, jobs)
         if winners:
             found_e = e
@@ -492,7 +500,6 @@ def max_size_search(
         if any(math.gcd(d, ell) != 1 for d in nf.D.diag()):
             raise AuditError("determinant and diagonalization disagree on a winner")
 
-    conj = conjectured_max(n, ell)
     if n % 2 == 0 and ell % 2 == 0:
         witness = pendant_lower_bound_witness(n, conj.k or 0)
         wnf = normal_form(neighborhood_matrix(complement(witness), ell))

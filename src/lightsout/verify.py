@@ -14,13 +14,12 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Tuple, Union
+from functools import lru_cache, reduce
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 from .game import (
     cycle_lambda_winnable,
     cycle_shift_canonical,
-    exists_shift_winnable,
     is_AW,
     lambda_labeling,
     shift_labeling,
@@ -168,6 +167,17 @@ def _report(n: int, ell: int):
     return max_size_search(n, ell)
 
 
+def _games(
+    orders: Sequence[int], moduli: Sequence[int]
+) -> Iterator[Tuple[Graph, int, ZModMatrix]]:
+    """(g, ell, matrix) for both games on every labeled graph of each order."""
+    for n in orders:
+        for g in graphs_of_order(n):
+            for ell in moduli:
+                for game in (neighborhood_matrix, adjacency_matrix):
+                    yield g, ell, game(g, ell)
+
+
 def _image_labelings(m: ZModMatrix) -> set:
     """All clearable labelings, by replaying every toggle vector."""
     ell = m.modulus
@@ -178,51 +188,32 @@ def _image_labelings(m: ZModMatrix) -> set:
     return out
 
 
-def _suite_oracle(seed: int) -> _Recorder:
-    rec = _Recorder()
-    for n in range(1, 5):
-        for g in graphs_of_order(n):
-            for ell in (2, 3, 4):
-                for matrix in (
-                    neighborhood_matrix(g, ell),
-                    adjacency_matrix(g, ell),
-                ):
-                    clearable = _image_labelings(matrix)
-                    nf = normal_form(matrix)
-                    for pi in itertools.product(range(ell), repeat=n):
-                        got = winnable(matrix, pi, nf=nf) is not None
-                        rec.check(
-                            got == (pi in clearable),
-                            lambda: f"solver/brute split on {g!r} mod {ell}"
-                            f" at {pi}",
-                        )
-    return rec
+def _suite_oracle(rec: _Recorder, seed: int) -> None:
+    for g, ell, matrix in _games(range(1, 5), (2, 3, 4)):
+        clearable = _image_labelings(matrix)
+        nf = normal_form(matrix)
+        for pi in itertools.product(range(ell), repeat=g.n):
+            rec.check(
+                (winnable(matrix, pi, nf=nf) is not None) == (pi in clearable),
+                lambda: f"solver/brute split on {g!r} mod {ell} at {pi}",
+            )
 
 
-def _suite_twins(seed: int) -> _Recorder:
-    rec = _Recorder()
-    for n in range(2, 5):
-        for g in graphs_of_order(n):
-            for ell in (2, 3, 4):
-                for matrix in (
-                    neighborhood_matrix(g, ell),
-                    adjacency_matrix(g, ell),
-                ):
-                    if find_M_twins(matrix):
-                        rec.check(
-                            not is_AW(matrix),
-                            lambda: f"twins did not block AW: {g!r} mod {ell}",
-                        )
+def _suite_twins(rec: _Recorder, seed: int) -> None:
+    for g, ell, matrix in _games(range(2, 5), (2, 3, 4)):
+        if find_M_twins(matrix):
+            rec.check(
+                not is_AW(matrix),
+                lambda: f"twins did not block AW: {g!r} mod {ell}",
+            )
     k2 = neighborhood_matrix(path_graph(2), 2)
     rec.check(
         (0, 1) in find_M_twins(k2) and not is_AW(k2),
         "adjacent pair must be neighborhood twins",
     )
-    return rec
 
 
-def _suite_thm_2_4(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_thm_2_4(rec: _Recorder, seed: int) -> None:
     for n in range(1, 5):
         for g in graphs_of_order(n):
             for ell in range(2, 7):
@@ -238,11 +229,9 @@ def _suite_thm_2_4(seed: int) -> _Recorder:
             lambda g=g, ell=ell: dominating_reduction(g, ell),
             lambda: f"dominating reduction on {g!r} mod {ell}",
         )
-    return rec
 
 
-def _suite_thm_3_1(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_thm_3_1(rec: _Recorder, seed: int) -> None:
     rng = random.Random(seed)
     for _ in range(100):
         n = rng.randrange(1, 5)
@@ -253,11 +242,9 @@ def _suite_thm_3_1(seed: int) -> _Recorder:
             lambda g=g, u=u_set, ell=ell: p4_replacement_equiv(g, u, ell),
             lambda: f"path-four replacement on {g!r}, U={u_set}, mod {ell}",
         )
-    return rec
 
 
-def _suite_cor_3_2(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_cor_3_2(rec: _Recorder, seed: int) -> None:
     for n in range(2, 6):
         for gbar in graphs_of_order(n):
             winnability_violations = [
@@ -285,45 +272,31 @@ def _suite_cor_3_2(seed: int) -> _Recorder:
                 not long_paths,
                 lambda: f"extremal complement has a long path component: {g6}",
             )
-    return rec
 
 
-def _suite_lemma_3_4(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_lemma_3_4(rec: _Recorder, seed: int) -> None:
     rng = random.Random(seed)
-    for n in range(1, 5):
-        for g in graphs_of_order(n):
-            for ell in range(2, 7):
-                for matrix in (
-                    neighborhood_matrix(g, ell),
-                    adjacency_matrix(g, ell),
-                ):
-                    subset = tuple(
-                        v for v in range(n) if rng.random() < 0.7
-                    ) or (0,)
-                    nf = normal_form(matrix)
-                    for u_set in (tuple(range(n)), subset):
-                        r_min = minimal_nonempty_r(matrix, u_set, nf=nf)
-                        period = r_min if r_min else ell
-                        rec.check(
-                            ell % period == 0,
-                            lambda: f"minimal shift does not divide modulus:"
-                            f" {g!r} U={u_set} mod {ell}",
-                        )
-                        for s in range(ell):
-                            nonempty = not toggling_numbers(
-                                matrix, u_set, s, nf=nf
-                            ).empty
-                            rec.check(
-                                nonempty == (s % period == 0),
-                                lambda: f"divisibility biconditional fails:"
-                                f" {g!r} U={u_set} s={s} mod {ell}",
-                            )
-    return rec
+    for g, ell, matrix in _games(range(1, 5), range(2, 7)):
+        subset = tuple(v for v in range(g.n) if rng.random() < 0.7) or (0,)
+        nf = normal_form(matrix)
+        for u_set in (tuple(range(g.n)), subset):
+            r_min = minimal_nonempty_r(matrix, u_set, nf=nf)
+            period = r_min if r_min else ell
+            rec.check(
+                ell % period == 0,
+                lambda: f"minimal shift does not divide modulus:"
+                f" {g!r} U={u_set} mod {ell}",
+            )
+            for s in range(ell):
+                nonempty = not toggling_numbers(matrix, u_set, s, nf=nf).empty
+                rec.check(
+                    nonempty == (s % period == 0),
+                    lambda: f"divisibility biconditional fails:"
+                    f" {g!r} U={u_set} s={s} mod {ell}",
+                )
 
 
-def _suite_lemma_3_5(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_lemma_3_5(rec: _Recorder, seed: int) -> None:
     rng = random.Random(seed)
     for _ in range(60):
         base = _random_graph(rng, rng.randrange(1, 12))
@@ -340,15 +313,24 @@ def _suite_lemma_3_5(seed: int) -> _Recorder:
             lambda: f"transfer mismatch on {host!r} s={s} mod {ell}:"
             f" {result.whole!r} vs {result.reduced!r}",
         )
-    return rec
 
 
 def _pendant_vertices(g: Graph) -> List[int]:
     return [v for v in range(g.n) if g.degree(v) == 1]
 
 
-def _suite_thm_3_6(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _some_shift_clears(g: Graph, pi: Tuple[int, ...], ell: int) -> bool:
+    """Whether some all-vertex shift of pi clears, by one solve per shift
+    (independent of the [A | 1] route that picks the counterexample)."""
+    mat = adjacency_matrix(g, ell)
+    nf = normal_form(mat)
+    return any(
+        winnable(mat, shift_labeling(pi, range(g.n), s, ell), nf=nf) is not None
+        for s in range(ell)
+    )
+
+
+def _suite_thm_3_6(rec: _Recorder, seed: int) -> None:
     for n in range(2, 6):
         for g in graphs_of_order(n):
             pendants = _pendant_vertices(g)
@@ -366,21 +348,21 @@ def _suite_thm_3_6(seed: int) -> _Recorder:
                 rec.check(
                     witness is None
                     if conditions.shifts_cover_all_labelings
-                    else exists_shift_winnable(g, witness, ell) is None,
+                    else not _some_shift_clears(g, witness, ell),
                     lambda: f"shift counterexample {witness} wrong on {g!r}"
                     f" mod {ell}",
                 )
+                # Always true: pendantremove_conditions raises on a
+                # disagreement, which run_suite records as a failure.
                 rec.check(
                     conditions.agree,
                     lambda: f"conditions vs direct check on {g!r} p={p}"
                     f" mod {ell}: predicted {conditions.predicted},"
                     f" direct {conditions.direct}",
                 )
-    return rec
 
 
-def _suite_cor_3_7(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_cor_3_7(rec: _Recorder, seed: int) -> None:
     for n in range(2, 6):
         for g in graphs_of_order(n):
             if not _pendant_vertices(g):
@@ -400,11 +382,9 @@ def _suite_cor_3_7(seed: int) -> _Recorder:
             lambda g=g, ell=ell: subsetjoinaw_check(g, ell),
             lambda: f"unit criterion on corona {g!r} mod {ell}",
         )
-    return rec
 
 
-def _suite_lemma_3_9(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_lemma_3_9(rec: _Recorder, seed: int) -> None:
     rng = random.Random(seed)
     for _ in range(40):
         base = _random_graph(rng, rng.randrange(1, 7))
@@ -427,9 +407,7 @@ def _suite_lemma_3_9(seed: int) -> _Recorder:
             corona_pendant(_random_tree(rng, rng.randrange(1, 4)))
             for _ in range(rng.randrange(1, 4))
         ]
-        forest = parts[0]
-        for part in parts[1:]:
-            forest = disjoint_union(forest, part)
+        forest = reduce(disjoint_union, parts)
         ell = rng.choice([2, 3, 4, 6, 8])
         coset = toggling_numbers(
             adjacency_matrix(forest, ell), range(forest.n), 1
@@ -452,11 +430,9 @@ def _suite_lemma_3_9(seed: int) -> _Recorder:
             lambda: f"componentwise composition mismatch mod {ell}:"
             f" {forest!r}",
         )
-    return rec
 
 
-def _suite_lemma_3_10(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_lemma_3_10(rec: _Recorder, seed: int) -> None:
     rng = random.Random(seed)
     for _ in range(50):
         g = corona_pendant(_random_graph(rng, rng.randrange(1, 7)))
@@ -465,11 +441,9 @@ def _suite_lemma_3_10(seed: int) -> _Recorder:
             lambda g=g, ell=ell: pendant_graph_naw(g, ell),
             lambda: f"pendant complement criterion on {g!r} mod {ell}",
         )
-    return rec
 
 
-def _suite_cor_3_11(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_cor_3_11(rec: _Recorder, seed: int) -> None:
     rng = random.Random(seed)
     for _ in range(50):
         c = rng.randrange(1, 4)
@@ -477,9 +451,7 @@ def _suite_cor_3_11(seed: int) -> _Recorder:
             corona_pendant(_random_tree(rng, rng.randrange(1, 4)))
             for _ in range(c)
         ]
-        forest = parts[0]
-        for part in parts[1:]:
-            forest = disjoint_union(forest, part)
+        forest = reduce(disjoint_union, parts)
         ell = rng.choice([2, 3, 4, 5, 6, 9, 12])
         direct = is_AW(neighborhood_matrix(complement(forest), ell))
         rec.check(
@@ -487,11 +459,9 @@ def _suite_cor_3_11(seed: int) -> _Recorder:
             lambda: f"component-count criterion: c={c} mod {ell} on"
             f" {forest!r}",
         )
-    return rec
 
 
-def _suite_cor_3_12(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_cor_3_12(rec: _Recorder, seed: int) -> None:
     p3_corona = corona_pendant(path_graph(3))
     p4_p2 = disjoint_union(path_graph(4), path_graph(2))
     p4_p4 = disjoint_union(path_graph(4), path_graph(4))
@@ -528,11 +498,9 @@ def _suite_cor_3_12(seed: int) -> _Recorder:
         not mismatched,
         "toggle-set mismatch must invalidate the switch",
     )
-    return rec
 
 
-def _suite_lemma_4_6(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_lemma_4_6(rec: _Recorder, seed: int) -> None:
     for n in (4, 6):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for e in range(n // 2 + 1, n):
@@ -560,11 +528,9 @@ def _suite_lemma_4_6(seed: int) -> _Recorder:
         == (unpruned.max_size, unpruned.extremal_graphs),
         "pruned and unpruned searches disagree at (6, 30)",
     )
-    return rec
 
 
-def _suite_lemma_4_7(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_lemma_4_7(rec: _Recorder, seed: int) -> None:
     for k in range(3, 10):
         for ell in (2, 4, 6):
             matrix = adjacency_matrix(cycle_graph(k), ell)
@@ -583,11 +549,9 @@ def _suite_lemma_4_7(seed: int) -> _Recorder:
                         lambda: f"cycle closed form: k={k} (a,b)=({a},{b})"
                         f" mod {ell}",
                     )
-    return rec
 
 
-def _suite_lemma_4_8(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_lemma_4_8(rec: _Recorder, seed: int) -> None:
     for k in range(3, 10):
         for ell in (2, 4, 6):
             matrix = adjacency_matrix(cycle_graph(k), ell)
@@ -611,11 +575,9 @@ def _suite_lemma_4_8(seed: int) -> _Recorder:
                     lambda: f"shift transport: k={k} (a,b,s)=({a},{b},{s})"
                     f" mod {ell}",
                 )
-    return rec
 
 
-def _suite_lemma_4_9(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_lemma_4_9(rec: _Recorder, seed: int) -> None:
     cases = [
         disjoint_union(cycle_graph(4), path_graph(2)),
         cycle_graph(6),
@@ -643,11 +605,9 @@ def _suite_lemma_4_9(seed: int) -> _Recorder:
                 lambda: f"cycle adjacency game AW at even modulus: k={k} mod"
                 f" {ell}",
             )
-    return rec
 
 
-def _suite_thm_4_10(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_thm_4_10(rec: _Recorder, seed: int) -> None:
     for n, ell in ((4, 2), (4, 6), (6, 4), (6, 10), (6, 30)):
         for g6 in _report(n, ell).extremal_graphs:
             gbar = complement(graph6_decode(g6))
@@ -660,15 +620,13 @@ def _suite_thm_4_10(seed: int) -> _Recorder:
                     lambda: f"low-degree extremal complement has a component"
                     f" of order {part.n} at ({n}, {ell})",
                 )
-    return rec
 
 
 def _canonical_g6(g: Graph) -> str:
     return graph6_encode(dedup_isomorphism([g])[0])
 
 
-def _suite_props_4_x(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_props_4_x(rec: _Recorder, seed: int) -> None:
     for n, ell in (
         (4, 2),
         (4, 3),
@@ -743,11 +701,9 @@ def _suite_props_4_x(seed: int) -> _Recorder:
             and is_AW(neighborhood_matrix(complement(witness), ell)),
             lambda: f"lower-bound witness broken at ({n}, {ell})",
         )
-    return rec
 
 
-def _suite_appendix(seed: int) -> _Recorder:
-    rec = _Recorder()
+def _suite_appendix(rec: _Recorder, seed: int) -> None:
     for name, (toggles, total) in APPENDIX_TABLES.items():
         g = named_graph(name)
         for ell in APPENDIX_MODULI:
@@ -769,10 +725,9 @@ def _suite_appendix(seed: int) -> _Recorder:
                 lambda: f"{name} summed toggles mod {ell}: got {coset!r},"
                 f" table says {total % ell}",
             )
-    return rec
 
 
-_SUITES: Dict[str, Tuple[str, Callable[[int], _Recorder]]] = {
+_SUITES: Dict[str, Tuple[str, Callable[[_Recorder, int], None]]] = {
     "oracle": (
         "solver winnability equals brute force over all toggle vectors",
         _suite_oracle,
@@ -860,7 +815,12 @@ def suite_names() -> Tuple[str, ...]:
 
 
 def run_suite(name: str, seed: int = 0) -> List[SuiteResult]:
-    """Run one suite (or all of them) and return per-suite results."""
+    """Run one suite (or all of them) and return per-suite results.
+
+    Each suite fills a recorder made here.  A self-check raised inside a
+    suite (AuditError, RuleDisagreement: any AssertionError) ends that
+    suite only, as one more failed check "<name> stopped: <message>".
+    """
     if name == "all":
         results = []
         for single in _SUITES:
@@ -871,8 +831,12 @@ def run_suite(name: str, seed: int = 0) -> List[SuiteResult]:
             f"unknown suite {name!r}; choose from {', '.join(suite_names())}"
         )
     description, fn = _SUITES[name]
+    rec = _Recorder()
     started = time.perf_counter()
-    rec = fn(seed)
+    try:
+        fn(rec, seed)
+    except AssertionError as exc:
+        rec.check(False, f"{name} stopped: {exc}"[:400])
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return [
         SuiteResult(

@@ -12,6 +12,7 @@ import pytest
 
 import lightsout
 import lightsout.cli as cli_mod
+import lightsout.search as search_mod
 
 from lightsout.cli import (
     MAX_MATRIX_DIM,
@@ -431,6 +432,18 @@ class TestMaxsizeCommand:
         )
         assert code == 1 and payload is None
         assert "raise the cap" in err
+
+    def test_scan_limit_exits_two_with_nothing_on_stdout(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scanned past the limit")
+
+        monkeypatch.setattr(search_mod, "_scan_edge_count", refuse)
+        code, payload, err = run_cli(
+            capsys,
+            ["maxsize", "--n", "40", "--modulus", "30", "--bounded", "25"],
+        )
+        assert code == 2 and payload is None
+        assert "error: complement edge count 20 gives C(780, 20)" in err
 
     def test_too_large_without_cap(self, capsys):
         code, _, err = run_cli(capsys, ["maxsize", "--n", "11", "--modulus", "2"])

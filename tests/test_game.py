@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -277,7 +278,57 @@ class TestCycleShiftCanonical:
             cycle_shift_canonical(6, 1, 1, 2, 4)
 
 
+def shift_loop(g: Graph, pi, ell: int):
+    """Reference: the least s whose all-vertex shift clears, one solve each."""
+    mat = adjacency_matrix(g, ell)
+    nf = normal_form(mat)
+    for s in range(ell):
+        if winnable(mat, shift_labeling(pi, range(g.n), s, ell), nf=nf) is not None:
+            return s
+    return None
+
+
 class TestExistsShiftWinnable:
+    @pytest.mark.parametrize("ell", [2, 3, 4, 6])
+    def test_matches_shift_loop_exhaustively(self, ell):
+        for n in range(4):
+            for g in all_graphs(n):
+                for pi in itertools.product(range(ell), repeat=n):
+                    assert exists_shift_winnable(g, pi, ell) == shift_loop(
+                        g, pi, ell
+                    ), f"{g!r} pi={pi} mod {ell}"
+
+    def test_matches_shift_loop_on_random_graphs(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            n = rng.randrange(4, 8)
+            g = random_graph(rng, n, 0.4)
+            ell = rng.choice([2, 4, 6, 8, 9, 12, 30])
+            pi = tuple(rng.randrange(ell) for _ in range(n))
+            assert exists_shift_winnable(g, pi, ell) == shift_loop(g, pi, ell)
+
+    def test_empty_graph_needs_no_shift(self):
+        assert exists_shift_winnable(Graph(0, []), (), 5) == 0
+
+    def test_labeling_length_checked(self):
+        with pytest.raises(ValueError, match="labeling length"):
+            exists_shift_winnable(cycle_graph(4), (1, 0, 0), 2)
+
+    def test_huge_modulus_is_one_solve(self):
+        # The shift loop would take hours here: about 11 us per shift.
+        ell = 2**31 - 2
+        c4_p2 = disjoint_union(cycle_graph(4), named_graph("path2"))
+        started = time.perf_counter()
+        blocked = exists_shift_winnable(c4_p2, (1, 0, 0, 0, 0, 0), ell)
+        odd = exists_shift_winnable(cycle_graph(5), (1,) * 5, ell)
+        assert time.perf_counter() - started < 1.0
+        assert blocked is None
+        # Even ell: the all-r labeling of C5 clears only for even r.
+        mat = adjacency_matrix(cycle_graph(5), ell)
+        assert odd == 1
+        assert winnable(mat, (1,) * 5) is None
+        assert winnable(mat, (2,) * 5) is not None
+
     def test_always_winnable_gives_zero(self):
         g = named_graph("path2")
         for ell in (2, 3, 4):

@@ -494,6 +494,63 @@ class TestSearchModes:
         with pytest.raises(ValueError):
             max_size_search(4, 2, jobs=0)
 
+    @pytest.mark.parametrize(
+        "n, ell, error, message",
+        [
+            (True, 2, TypeError, "n must be an int, got bool"),
+            (6.0, 2, TypeError, "n must be an int, got float"),
+            (1, 2, ValueError, "n must be at least 2, got 1"),
+            (6, 1, ValueError, "modulus"),
+        ],
+    )
+    def test_order_and_modulus_checked_once(self, n, ell, error, message):
+        with pytest.raises(error, match=message):
+            conjectured_max(n, ell)
+        with pytest.raises(error, match=message):
+            max_size_search(n, ell, jobs=0)
+
+
+class TestScanLimit:
+    @staticmethod
+    def record_scans(monkeypatch, scan):
+        seen = []
+
+        def recording(n, ell, e, prune, jobs):
+            seen.append(e)
+            return scan(n, ell, e, prune, jobs)
+
+        monkeypatch.setattr(search_mod, "_scan_edge_count", recording)
+        return seen
+
+    def test_limit_at_the_largest_scanned_count_passes(self, monkeypatch):
+        # (6, 10) scans e = 3 (C(15, 3) = 455) and wins at e = 4 (1,365).
+        seen = self.record_scans(monkeypatch, search_mod._scan_edge_count)
+        monkeypatch.setattr(search_mod, "MAX_SCAN_CANDIDATES", math.comb(15, 4))
+        assert max_size_search(6, 10).max_size == 11
+        assert seen == [3, 4]
+
+    def test_limit_below_it_stops_before_that_count(self, monkeypatch):
+        seen = self.record_scans(monkeypatch, search_mod._scan_edge_count)
+        monkeypatch.setattr(
+            search_mod, "MAX_SCAN_CANDIDATES", math.comb(15, 4) - 1
+        )
+        with pytest.raises(ValueError, match=r"C\(15, 4\) candidates"):
+            max_size_search(6, 10)
+        assert seen == [3]
+
+    def test_largest_documented_case_is_admitted(self):
+        # maxsize (8, 210) --bounded 7 in the acceptance tests and README.
+        assert math.comb(28, 7) == 1_184_040 <= search_mod.MAX_SCAN_CANDIDATES
+
+    def test_order_ten_stops_at_the_first_count_over_the_limit(self, monkeypatch):
+        seen = self.record_scans(monkeypatch, lambda n, ell, e, prune, jobs: [])
+        with pytest.raises(ValueError, match="scan limit"):
+            max_size_search(10, 210)
+        assert seen == [
+            e for e in range(5, 10) if math.comb(45, e) <= search_mod.MAX_SCAN_CANDIDATES
+        ]
+        assert seen and seen[-1] < 9
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_report(self):

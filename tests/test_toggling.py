@@ -266,6 +266,20 @@ class TestCosetStructure:
                 if not tr.empty:
                     assert tr.generator == t0.generator
 
+    @pytest.mark.parametrize("ell", [2, 4, 6, 8, 9, 12])
+    def test_full_vertex_generator_is_shift_free(self, ell):
+        # pendantremove_conditions reads g0 off the coset at shift r.
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [p for j, p in enumerate(pairs) if bits >> j & 1]
+                m = adjacency_matrix(Graph.from_edges(n, edges), ell)
+                nf = normal_form(m)
+                g0 = toggling_numbers(m, range(n), 0, nf=nf).generator
+                for r in range(1, ell):
+                    tr = toggling_numbers(m, range(n), r, nf=nf)
+                    assert tr.empty or tr.generator == g0, f"{edges} mod {ell}"
+
     def test_subgroup_closed_under_negation(self):
         rng = random.Random(97)
         for ell in (4, 6, 9):

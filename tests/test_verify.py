@@ -4,12 +4,17 @@ failure reporting, and a spot check that the fast suites actually pass."""
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
+import lightsout.rules as rules_mod
 import lightsout.verify as verify_mod
+from lightsout.cli import main
 from lightsout.game import is_AW
 from lightsout.graphs import Graph, complement, neighborhood_matrix
+from lightsout.modular import AuditError
+from lightsout.rules import ReductionOutcome, RuleDisagreement
 from lightsout.toggling import ToggleCoset, TransferCheck
 from lightsout.verify import (
     APPENDIX_MODULI,
@@ -187,6 +192,87 @@ class TestRecorder:
             f" ToggleCoset({{0}}, mod {ell}) vs ToggleCoset({{1}}, mod {ell})"
             for host, s, ell in seen[:MAX_RECORDED_FAILURES]
         ]
+
+
+def fire_on_call(fn, nth, exc):
+    """fn, except that its nth call raises exc instead."""
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == nth:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestOneFailurePath:
+    """A self-check raised inside a suite becomes one recorded failure."""
+
+    def test_stop_message_is_truncated(self, monkeypatch):
+        def explode(*args):
+            raise AssertionError("x" * 1000)
+
+        monkeypatch.setattr(verify_mod, "notswin_witness", explode)
+        (result,) = run_suite("lemma-4-9")
+        assert result.checks == 1
+        (failure,) = result.failures
+        assert len(failure) == 400
+        assert failure.startswith("lemma-4-9 stopped: xxx")
+
+    def test_other_exceptions_still_propagate(self, monkeypatch):
+        def explode(*args):
+            raise ZeroDivisionError("not a self-check")
+
+        monkeypatch.setattr(verify_mod, "notswin_witness", explode)
+        with pytest.raises(ZeroDivisionError):
+            run_suite("lemma-4-9")
+
+    def test_verify_all_reports_every_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            verify_mod,
+            "pendantremove_conditions",
+            fire_on_call(
+                verify_mod.pendantremove_conditions,
+                50,
+                AuditError("forced self-check failure"),
+            ),
+        )
+        disagreement = RuleDisagreement(
+            ReductionOutcome("extswitch_valid", {}, True, False)
+        )
+        monkeypatch.setattr(
+            verify_mod,
+            "extswitch_valid",
+            fire_on_call(verify_mod.extswitch_valid, 3, disagreement),
+        )
+        # A clearing shift for every witness makes notswin_witness's own
+        # audit fire on its first call.
+        monkeypatch.setattr(rules_mod, "exists_shift_winnable", lambda g, pi, ell: 0)
+        code = main(["verify", "--suite", "all"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report["schema"] == 1 and report["result"]["passed"] is False
+        suites = {entry["suite"]: entry for entry in report["result"]["suites"]}
+        assert list(suites) == list(EXPECTED_SUITES[:-1])
+        failed = {name for name, entry in suites.items() if not entry["passed"]}
+        assert failed == {"thm-3-6", "cor-3-12", "lemma-4-9"}
+        # 49 hosts of three checks each, the 50th host's rec.run, the stop.
+        assert suites["thm-3-6"]["checks"] == 49 * 3 + 1 + 1
+        assert suites["thm-3-6"]["failures"] == [
+            "thm-3-6 stopped: forced self-check failure"
+        ]
+        assert suites["cor-3-12"]["checks"] == 2 + 1
+        assert suites["cor-3-12"]["failures"] == [
+            f"cor-3-12 stopped: {disagreement}"
+        ]
+        assert suites["lemma-4-9"]["checks"] == 1
+        (failure,) = suites["lemma-4-9"]["failures"]
+        assert failure.startswith("lemma-4-9 stopped: cycle obstruction failed")
+        assert suites["oracle"]["checks"] == 46902 and suites["oracle"]["passed"]
 
 
 class TestFrozenTables:

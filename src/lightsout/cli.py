@@ -32,7 +32,7 @@ from .graphs import (
     neighborhood_matrix,
 )
 from .modular import MAX_ENUMERATED_SOLUTIONS, ZModMatrix, normal_form
-from .search import FULL_ENUMERATION_MAX_N, max_size_search
+from .search import FULL_ENUMERATION_MAX_N, available_cpus, max_size_search
 from .toggling import minimal_nonempty_r, toggling_numbers
 from .verify import run_suite, suite_names
 
@@ -256,7 +256,7 @@ def cmd_maxsize(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"{JOBS_ENV_VAR}={raw!r} is not an integer")
     _note(f"searching n={args.n} mod {args.modulus} with {jobs} job(s)")
-    cpus = os.cpu_count() or 1
+    cpus = available_cpus()
     if jobs > cpus:
         _note(
             f"--jobs {jobs} exceeds the {cpus} CPU(s);"

@@ -8,28 +8,29 @@ increasing order and stopping at the first count that admits an N-AW
 complement therefore finds the maximum and every labeled graph achieving
 it.
 
-Each candidate complement B is tested with the exact integer determinant
-of G's neighborhood matrix J - B, factored over the components of B by
-the matrix determinant lemma (see _complement_det).  The components are
-small and repeat across candidates, so their terms are memoised; a
-candidate with two vertices of equal neighborhood in B (twins in G) is
-skipped with no determinant at all.  The surviving canonical
-representatives are re-verified through the diagonalization route, so
-the two invertibility criteria still audit each other.  Work is split
-by each complement's lexicographically least edge, one chunk per edge,
-and the chunks' winners are merged as a sorted set, so the result is
-independent of worker count and scheduling.
+The complements with e edges are walked depth first over the pair
+indices, one chunk per lexicographically least edge.  The walk drops
+every branch whose candidates all have two vertices of equal neighborhood
+in B (twins in G, so J - B has equal rows) or, when the Lemma 4.6 degree
+cap applies, a degree above it (see _scan_chunk for the three rules).
+Every twin-free candidate it reaches is tested with the exact integer
+determinant of G's neighborhood matrix J - B, factored over the
+components of B by the matrix determinant lemma (see _complement_det).
+The components are small and repeat across candidates, so their terms
+are memoised.  The surviving canonical representatives are re-verified
+through the diagonalization route, so the two invertibility criteria
+still audit each other.  The chunks' winners are merged as a sorted set,
+so the result is independent of worker count and scheduling.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graphs import (
     Graph,
@@ -60,9 +61,11 @@ CONJECTURED = "CONJECTURED"
 FULL_ENUMERATION_MAX_N = 10
 
 # Most candidate complements one edge count may have before the scan
-# refuses it.  One process tests 60k-240k candidates/s (Python 3.11, one
-# core of a 2-vCPU VM: 58k/s at (8, 210) e = 7, 244k/s at (10, 210) e = 6),
-# so an accepted edge count takes at most about 35 s.
+# refuses it.  One process tests 57k-1.5M candidates/s (Python 3.11, one
+# core of a 2-vCPU VM: 57k-62k/s at (8, 210) e = 7, where most candidates
+# the walk reaches need a determinant; 1.47M/s at (10, 210) e = 6, where
+# it drops most branches), so an accepted edge count takes at most about
+# 35 s.
 MAX_SCAN_CANDIDATES = 2_000_000
 
 
@@ -247,43 +250,90 @@ def _scan_chunk(args: Tuple[int, int, int, int, bool]) -> List[int]:
     """Test the complements whose least edge is pairs[first]; return winners.
 
     The candidates are the e-edge complements made of pairs[first] and
-    e - 1 later pairs, in lexicographic order.  Each mask packs the
-    complement's pair indicators with pair (0,1) most significant, matching
-    Graph.adjacency_bits.  A candidate wins when the complementary graph's
-    neighborhood matrix J - B has determinant coprime to the modulus.  Two
-    vertices with the same neighborhood in B (most often two isolated ones)
-    have the same closed neighborhood in G, so J - B has two equal rows and
-    determinant 0; such candidates are skipped without a determinant.  The
-    rest go through _complement_det, whose component memo lives for this
-    call only, so results cannot depend on how chunks are split among
-    workers.  max_size_search still audits the survivors through
-    normal_form.
+    e - 1 later pairs.  Each mask packs the complement's pair indicators
+    with pair (0,1) most significant, matching Graph.adjacency_bits.  A
+    candidate wins when the complementary graph's neighborhood matrix
+    J - B has determinant coprime to the modulus.  Two vertices with the
+    same neighborhood in B have the same closed neighborhood in G, so
+    J - B has two equal rows and determinant 0; such candidates get no
+    determinant.
+
+    The candidates are walked depth first, adding pairs in increasing
+    index order while each vertex's neighborhood bitmask is kept up to
+    date.  A branch is dropped when one of three rules shows that none of
+    its candidates can pass the test at its leaves:
+
+    1. Settled twins.  When the next pair is (u, v), no later pair touches
+       a vertex below u, so two such vertices with equal neighborhoods stay
+       twins; the loop over the next pair stops, since a larger u settles
+       more vertices.
+    2. Forced isolation.  Each pair still to place covers at most two
+       vertices of degree 0, so when the degree-0 vertices outnumber twice
+       the pairs still to place by two or more, two of them stay isolated,
+       and isolated vertices are twins.
+    3. Degree cap.  When prune applies (n even and t = e - n/2 >= 1), a pair
+       that would lift a degree above t + 1 (Lemma 4.6) is skipped; degrees
+       only grow along a branch.
+
+    Each surviving candidate gets the full twin test, then _complement_det,
+    whose component memo lives for this call only, so results cannot depend
+    on how chunks are split among workers.  max_size_search still audits
+    the survivors through normal_form.
     """
     n, ell, e, first, prune = args
     pairs = _pairs(n)
     npairs = len(pairs)
     t = e - n // 2
-    cap = t + 1
-    use_prune = prune and n % 2 == 0 and t >= 1
+    # No degree reaches n, so without the cap no pair is skipped.
+    cap = t + 1 if prune and n % 2 == 0 and t >= 1 else n
     winners: List[int] = []
     memo: ComponentMemo = {}
-    for rest in itertools.combinations(range(first + 1, npairs), e - 1):
-        combo = (first,) + rest
-        edges = [pairs[j] for j in combo]
-        nbrs = [0] * n
-        for u, v in edges:
+    nbrs = [0] * n  # a vertex's degree is the bit count of its mask
+    edges: List[Tuple[int, int]] = []  # the branch so far, in index order
+
+    def walk(ks: Iterable[int], left: int, mask: int) -> None:
+        """Extend the branch by pairs[k] for each k in ks in turn.
+
+        left counts the pairs still to place, pairs[k] included.
+        """
+        settled = -1
+        for k in ks:
+            u, v = pairs[k]
+            if u != settled:
+                settled = u
+                if len(set(nbrs[:u])) < u:  # rule 1
+                    break
+            if nbrs[u].bit_count() == cap or nbrs[v].bit_count() == cap:  # rule 3
+                continue
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
-        if (
-            not (use_prune and max(map(int.bit_count, nbrs)) > cap)
-            and len(set(nbrs)) == n
-            and math.gcd(_complement_det(n, edges, memo) % ell, ell) == 1
-        ):
-            mask = 0
-            for j in combo:
-                mask |= 1 << (npairs - 1 - j)
-            winners.append(mask)
+            edges.append(pairs[k])
+            branch = mask | 1 << (npairs - 1 - k)
+            if left == 1:
+                if (
+                    len(set(nbrs)) == n
+                    and math.gcd(_complement_det(n, edges, memo) % ell, ell) == 1
+                ):
+                    winners.append(branch)
+            elif nbrs.count(0) - 2 * (left - 1) < 2:  # rule 2
+                walk(range(k + 1, npairs - left + 2), left - 1, branch)
+            edges.pop()
+            nbrs[u] ^= 1 << v
+            nbrs[v] ^= 1 << u
+
+    walk(range(first, first + 1), e, 0)  # the root offers pairs[first] alone
     return winners
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on, from its affinity mask where there is one.
+
+    os.cpu_count() counts the host's CPUs, which overstates the share of a
+    process confined by taskset or a cpuset.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _scan_edge_count(
@@ -297,7 +347,7 @@ def _scan_edge_count(
     chunks = [(n, ell, e, first, prune) for first in range(npairs - e + 1)]
     # The pool starts every worker up front, so never ask for more than
     # can run at once or than there are chunks to hand out.
-    workers = min(jobs, os.cpu_count() or 1, len(chunks))
+    workers = min(jobs, available_cpus(), len(chunks))
     if workers <= 1:
         results = [_scan_chunk(chunk) for chunk in chunks]
     else:

@@ -384,7 +384,8 @@ class TestMaxsizeCommand:
 
     def test_cpu_cap_noted_on_stderr(self, capsys, monkeypatch):
         # One CPU keeps the search in-process, so no worker starts.
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(search_mod, "available_cpus", lambda: 1)
+        monkeypatch.setattr(cli_mod, "available_cpus", lambda: 1)
         argv = ["maxsize", "--n", "6", "--modulus", "30"]
         main(argv + ["--jobs", "1"])
         lone = capsys.readouterr()

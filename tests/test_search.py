@@ -217,13 +217,58 @@ class TestFactoredDeterminant:
                     assert got == want, (e, ell, prune)
 
 
+def twin_free_complements(n: int, e: int):
+    """(pair indices, neighborhood masks) of each twin-free e-edge complement.
+
+    The labeled scan that the depth-first walk replaced: every combination
+    of e pair indices in lexicographic order, then the twin test.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for combo in itertools.combinations(range(len(pairs)), e):
+        nbrs = [0] * n
+        for j in combo:
+            u, v = pairs[j]
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        if len(set(nbrs)) == n:
+            yield combo, nbrs
+
+
+def flat_scan_dets(n: int, e: int):
+    """(mask, max degree, det(J - B)) for every twin-free e-edge complement.
+
+    Each determinant is taken once through _complement_det with one memo,
+    for every modulus and prune setting; reference_scan applies the degree
+    cap and the modulus.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    npairs = len(pairs)
+    memo = {}
+    return [
+        (
+            sum(1 << (npairs - 1 - j) for j in combo),
+            max(map(int.bit_count, nbrs)),
+            search_mod._complement_det(n, [pairs[j] for j in combo], memo),
+        )
+        for combo, nbrs in twin_free_complements(n, e)
+    ]
+
+
 class TestScanChunks:
     @pytest.mark.parametrize(
         "n, edge_counts",
-        [(2, [1]), (3, [1, 2, 3]), (4, range(1, 7)), (5, range(1, 11)), (6, [3, 4, 5])],
+        [
+            (2, [1]),
+            (3, [1, 2, 3]),
+            (4, range(1, 7)),
+            (5, range(1, 11)),
+            (6, [3, 4, 5]),
+            (7, [5]),
+        ],
     )
     def test_chunks_partition_the_candidates(self, monkeypatch, n, edge_counts):
-        """Unpruned, every twin-free e-edge complement reaches one determinant."""
+        """Every twin-free e-edge complement within the degree cap reaches
+        exactly one determinant, and no other candidate reaches any."""
         real = search_mod._complement_det
         seen = []
 
@@ -234,18 +279,25 @@ class TestScanChunks:
         monkeypatch.setattr(search_mod, "_complement_det", counting)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for e in edge_counts:
-            seen.clear()
-            search_mod._scan_edge_count(n, 2, e, False, 1)
-            want = []
-            for combo in itertools.combinations(pairs, e):
-                nbrs = [0] * n
-                for u, v in combo:
-                    nbrs[u] |= 1 << v
-                    nbrs[v] |= 1 << u
-                if len(set(nbrs)) == n:
-                    want.append(combo)
-            assert len(seen) == len(want), e
-            assert sorted(seen) == want, e
+            t = e - n // 2
+            for prune in (False, True):
+                cap = t + 1 if prune and n % 2 == 0 and t >= 1 else n
+                seen.clear()
+                search_mod._scan_edge_count(n, 2, e, prune, 1)
+                want = [
+                    tuple(pairs[j] for j in combo)
+                    for combo, nbrs in twin_free_complements(n, e)
+                    if max(map(int.bit_count, nbrs)) <= cap
+                ]
+                assert len(seen) == len(want), (e, prune)
+                assert sorted(seen) == want, (e, prune)
+
+    @pytest.mark.parametrize("n, ell, e", [(8, 42, 4), (8, 42, 5), (9, 30, 4)])
+    def test_walk_matches_the_flat_scan(self, n, ell, e):
+        dets = flat_scan_dets(n, e)
+        for prune in (True, False):
+            got = search_mod._scan_edge_count(n, ell, e, prune, 1)
+            assert got == reference_scan(dets, n, ell, e, prune), prune
 
 
 class TestDedup:
@@ -558,15 +610,12 @@ class TestDeterminism:
         fanned = max_size_search(6, 5, jobs=3)
         assert json.dumps(lone.to_json()) == json.dumps(fanned.to_json())
 
-    @pytest.mark.parametrize(
-        "cpus, expected", [(4, [4]), (16, [13]), (1, []), (None, [])]
-    )
-    def test_pool_capped_by_cpus_and_chunks(self, monkeypatch, cpus, expected):
+    @staticmethod
+    def record_pools(monkeypatch):
+        """Swap in a pool that runs chunks in-process; return its sizes."""
         requested = []
 
         class RecordingPool:
-            """Stands in for ProcessPoolExecutor; runs chunks in-process."""
-
             def __init__(self, max_workers):
                 requested.append(max_workers)
 
@@ -579,12 +628,33 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
+        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+        return requested
+
+    @pytest.mark.parametrize("cpus, expected", [(4, [4]), (16, [13]), (1, [])])
+    def test_pool_capped_by_cpus_and_chunks(self, monkeypatch, cpus, expected):
         # 15 pairs, e = 3: one chunk per least edge 0..12, so 13 chunks.
         serial = search_mod._scan_edge_count(6, 5, 3, True, 1)
-        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
+        requested = self.record_pools(monkeypatch)
+        monkeypatch.setattr(search_mod, "available_cpus", lambda: cpus)
         assert search_mod._scan_edge_count(6, 5, 3, True, 1000) == serial
         assert requested == expected
+
+    def test_affinity_mask_not_host_count_caps_the_pool(self, monkeypatch):
+        serial = search_mod._scan_edge_count(6, 5, 3, True, 1)
+        requested = self.record_pools(monkeypatch)
+        monkeypatch.setattr(
+            search_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 64)
+        assert search_mod._scan_edge_count(6, 5, 3, True, 4) == serial
+        assert requested == []
+
+    @pytest.mark.parametrize("cpus, expected", [(8, 8), (None, 1)])
+    def test_cpus_without_affinity_mask(self, monkeypatch, cpus, expected):
+        monkeypatch.delattr(search_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
+        assert search_mod.available_cpus() == expected
 
     def test_timing_left_out_of_default_payload(self):
         report = max_size_search(4, 2)

@@ -370,13 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
         "maxsize",
         help="largest always-winnable size and the extremal graphs",
     )
-    mx.add_argument("--n", type=int, required=True)
-    mx.add_argument("--modulus", type=int, required=True)
     mx.add_argument(
-        "--bounded",
+        "--n",
         type=int,
-        help=f"cap on complement edges (required for n > {FULL_ENUMERATION_MAX_N})",
+        required=True,
+        help=f"number of vertices, at most {FULL_ENUMERATION_MAX_N}",
     )
+    mx.add_argument("--modulus", type=int, required=True)
+    mx.add_argument("--bounded", type=int, help="cap on complement edges")
     mx.add_argument(
         "--no-prune",
         action="store_true",
@@ -410,9 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except UsageError as exc:
-        _note(f"error: {exc}")
-        return 2
     except (ValueError, OSError) as exc:
         _note(f"error: {exc}")
         return 2

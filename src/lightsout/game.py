@@ -137,6 +137,12 @@ def cycle_shift_canonical(
     return out
 
 
+def _shift_game(m: ZModMatrix) -> ZModMatrix:
+    """[m | 1]: the toggles of m plus a column that adds 1 to every label."""
+    flat = [e for row in m.data for e in row + (1,)]
+    return ZModMatrix(m.rows, m.cols + 1, m.modulus, flat)
+
+
 def exists_shift_winnable(
     g: Graph, pi: Sequence[int], ell: int
 ) -> Optional[int]:
@@ -151,9 +157,7 @@ def exists_shift_winnable(
     n = g.n
     if len(pi) != n:
         raise ValueError(f"labeling length {len(pi)} != rows {n}")
-    rows = adjacency_matrix(g, ell).data
-    joined = ZModMatrix(n, n + 1, ell, [e for row in rows for e in row + (1,)])
-    sol = solve(joined, [(-p) % ell for p in pi])
+    sol = solve(_shift_game(adjacency_matrix(g, ell)), [(-p) % ell for p in pi])
     if sol is None:
         return None
     h = ell

@@ -232,6 +232,7 @@ def named_graph(name: str) -> Graph:
     Accepts the fixed figure names (G1..G8, bowtie, house, K23, Gd9,
     Gd9prime, figure_d9_2, star13) and parameterized families written
     either as path(4) or path4 (same for cycle, matching, complete).
+    A family order above GRAPH6_MAX_N raises ValueError before building.
     """
     token = name.strip()
     by_fixed = {k.lower(): k for k in _FIXED_GRAPHS}
@@ -244,6 +245,10 @@ def named_graph(name: str) -> Graph:
     m = _PARAM_RE.match(low)
     if m:
         family, k = m.group(1), int(m.group(2))
+        if k > GRAPH6_MAX_N:
+            raise ValueError(
+                f"named graphs are limited to {GRAPH6_MAX_N} vertices, got {k}"
+            )
         builder = {
             "path": path_graph,
             "cycle": cycle_graph,

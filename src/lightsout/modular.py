@@ -534,7 +534,7 @@ def solve(
             if ci % d != 0:
                 return None
             y[i] = ci // d
-            if d != 1 and math.gcd(d, ell) != 1:
+            if d != 1:
                 gens_y.append((i, ell // d))
     for j in range(m.rows, m.cols):
         gens_y.append((j, 1))

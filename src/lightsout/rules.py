@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .game import exists_shift_winnable, is_AW
+from .game import _shift_game, exists_shift_winnable, is_AW
 from .graphs import (
     Graph,
     adjacency_matrix,
@@ -294,8 +294,7 @@ def _unshiftable_labeling(
     if r == math.prod(d or ell for d in nf.D.diag()):
         return None
     n = mat.rows
-    rows = [row + [1] for row in mat.to_rows()]
-    joined = normal_form(ZModMatrix.from_rows(rows, ell))
+    joined = normal_form(_shift_game(mat))
     mods = [d or ell for d in joined.D.diag()]
     for j in reversed(range(n)):
         if any(u % m for u, m in zip(joined.u_inv.col(j), mods)):

@@ -55,17 +55,18 @@ RULE_EVEN_EVEN = "even_even"
 PROVEN = "PROVEN"
 CONJECTURED = "CONJECTURED"
 
-# Full labeled enumeration is quadratic-exponential in n; past this order
-# the caller must supply a complement-edge cap.  It also bounds
-# canonical_adjacency_bits, since an asymmetric graph has n! relabelings.
+# Largest order any search accepts: at n = 11 the first complement edge
+# count already has C(55, 5) = 3,478,761 candidates, over
+# MAX_SCAN_CANDIDATES.  It also bounds canonical_adjacency_bits, since an
+# asymmetric graph has n! relabelings.
 FULL_ENUMERATION_MAX_N = 10
 
 # Most candidate complements one edge count may have before the scan
-# refuses it.  One process tests 57k-1.5M candidates/s (Python 3.11, one
-# core of a 2-vCPU VM: 57k-62k/s at (8, 210) e = 7, where most candidates
-# the walk reaches need a determinant; 1.47M/s at (10, 210) e = 6, where
-# it drops most branches), so an accepted edge count takes at most about
-# 35 s.
+# refuses it; within FULL_ENUMERATION_MAX_N that is n = 10 with e >= 6.
+# One process tests 57k-1.5M candidates/s (Python 3.11, one core of a
+# 2-vCPU VM: 57k-62k/s at (8, 210) e = 7, where most candidates the walk
+# reaches need a determinant; 1.47M/s at (10, 210) e = 6, where it drops
+# most branches), so an accepted edge count takes at most about 35 s.
 MAX_SCAN_CANDIDATES = 2_000_000
 
 
@@ -451,7 +452,7 @@ class ExtremalReport:
     """Outcome of one maximum-size search.
 
     extremal_graphs holds canonical graph6 strings, sorted.  elapsed_ms
-    is kept out of the default JSON payload so that reports compare
+    is kept out of the JSON payload so that reports compare
     byte-for-byte across runs and worker counts.
     """
 
@@ -465,8 +466,8 @@ class ExtremalReport:
     agree: bool
     elapsed_ms: float
 
-    def to_json(self, include_timing: bool = False) -> Dict[str, object]:
-        out: Dict[str, object] = {
+    def to_json(self) -> Dict[str, object]:
+        return {
             "n": self.n,
             "ell": self.ell,
             "max_size": self.max_size,
@@ -476,9 +477,6 @@ class ExtremalReport:
             "conjectured": self.conjectured.to_json(),
             "agree": self.agree,
         }
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 def max_size_search(
@@ -494,25 +492,24 @@ def max_size_search(
     Complement edge counts are scanned upward from floor(n/2); the scan
     stops at the first count admitting a winner, which a full search is
     guaranteed to reach by n - 1.  bounded_cap limits the scan to
-    complements of at most that many edges (mandatory above
-    FULL_ENUMERATION_MAX_N vertices) and raises RuntimeError if the cap
-    is exhausted first.  An edge count with more than MAX_SCAN_CANDIDATES
-    candidates raises ValueError before it is scanned.
+    complements of at most that many edges and raises RuntimeError if the
+    cap is exhausted first.  An order above FULL_ENUMERATION_MAX_N raises
+    ValueError before any scan, as does an edge count with more than
+    MAX_SCAN_CANDIDATES candidates before it is scanned.
     """
     started = time.perf_counter()
     conj = conjectured_max(n, ell)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if bounded_cap is None:
-        if n > FULL_ENUMERATION_MAX_N:
-            raise ValueError(
-                f"full enumeration is limited to n <= {FULL_ENUMERATION_MAX_N};"
-                " pass bounded_cap for larger orders"
-            )
-    elif not isinstance(bounded_cap, int) or isinstance(bounded_cap, bool):
-        raise TypeError("bounded_cap must be an int or None")
-    elif bounded_cap < 0:
-        raise ValueError(f"bounded_cap must be nonnegative, got {bounded_cap}")
+    if n > FULL_ENUMERATION_MAX_N:
+        raise ValueError(
+            f"the search is limited to n <= {FULL_ENUMERATION_MAX_N}, got n = {n}"
+        )
+    if bounded_cap is not None:
+        if not isinstance(bounded_cap, int) or isinstance(bounded_cap, bool):
+            raise TypeError("bounded_cap must be an int or None")
+        if bounded_cap < 0:
+            raise ValueError(f"bounded_cap must be nonnegative, got {bounded_cap}")
 
     npairs = math.comb(n, 2)
     e_stop = npairs if bounded_cap is None else min(bounded_cap, npairs)
@@ -633,24 +630,17 @@ class ConjectureCheck:
 
 
 def verify_conjecture(
-    n: int,
-    ell: int,
-    *,
-    bounded_cap: Optional[int] = None,
-    prune: bool = True,
-    jobs: int = 1,
-    report: Optional[ExtremalReport] = None,
+    n: int, ell: int, *, report: Optional[ExtremalReport] = None
 ) -> ConjectureCheck:
     """Run (or reuse) a search and classify the extremal graphs.
 
     Every extremal complement is tested for being a pendant graph; when
     the modulus is odd the known triangle family is recognized as the
-    expected exception.  Pass a precomputed report to skip re-searching.
+    expected exception.  Pass a precomputed report to skip re-searching,
+    or to classify a capped, unpruned or parallel search.
     """
     if report is None:
-        report = max_size_search(
-            n, ell, bounded_cap=bounded_cap, prune=prune, jobs=jobs
-        )
+        report = max_size_search(n, ell)
     elif (report.n, report.ell) != (n, ell):
         raise ValueError("supplied report is for different parameters")
 

@@ -438,23 +438,38 @@ class TestMaxsizeCommand:
         def refuse(*args):
             raise AssertionError("scanned past the limit")
 
+        # (6, 10) would first scan e = 3, which has C(15, 3) = 455 candidates.
+        monkeypatch.setattr(search_mod, "MAX_SCAN_CANDIDATES", 454)
         monkeypatch.setattr(search_mod, "_scan_edge_count", refuse)
         code, payload, err = run_cli(
             capsys,
-            ["maxsize", "--n", "40", "--modulus", "30", "--bounded", "25"],
+            ["maxsize", "--n", "6", "--modulus", "10", "--bounded", "5"],
         )
         assert code == 2 and payload is None
-        assert "error: complement edge count 20 gives C(780, 20)" in err
+        assert "error: complement edge count 3 gives C(15, 3)" in err
 
-    def test_too_large_without_cap(self, capsys):
-        code, _, err = run_cli(capsys, ["maxsize", "--n", "11", "--modulus", "2"])
-        assert code == 2 and "n <= 10" in err
+    @pytest.mark.parametrize("bounded", [None, "3", "5", "25", "n"])
+    @pytest.mark.parametrize("n", ["11", "40", "63", "2000000"])
+    def test_orders_past_the_wall_exit_two_before_any_scan(
+        self, capsys, monkeypatch, n, bounded
+    ):
+        def refuse(*args):
+            raise AssertionError("scanned past the order wall")
 
-    def test_bounded_help_names_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(search_mod, "_scan_edge_count", refuse)
+        argv = ["maxsize", "--n", n, "--modulus", "30"]
+        if bounded is not None:
+            argv += ["--bounded", n if bounded == "n" else bounded]
+        code, payload, err = run_cli(capsys, argv)
+        assert code == 2 and payload is None
+        assert "error: the search is limited to n <= 10" in err
+        assert "cap" not in err
+
+    def test_n_help_names_the_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(cli_mod, "FULL_ENUMERATION_MAX_N", 12)
         with pytest.raises(SystemExit):
             main(["maxsize", "--help"])
-        assert "required for n > 12" in capsys.readouterr().out
+        assert "number of vertices, at most 12" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

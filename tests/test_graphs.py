@@ -8,7 +8,9 @@ import random
 import networkx as nx
 import pytest
 
+import lightsout.graphs as graphs_mod
 from lightsout.graphs import (
+    GRAPH6_MAX_N,
     Graph,
     adjacency_matrix,
     complement,
@@ -193,6 +195,27 @@ class TestNamedGraphs:
         for bad in ("pathzero", "nope", "path0", "cycle2", "matching0"):
             with pytest.raises(ValueError):
                 named_graph(bad)
+
+    @pytest.mark.parametrize(
+        "family, builder",
+        [
+            ("path", "path_graph"),
+            ("cycle", "cycle_graph"),
+            ("matching", "matching_graph"),
+            ("complete", "complete_graph"),
+        ],
+    )
+    def test_family_order_bounded_before_building(self, monkeypatch, family, builder):
+        assert named_graph(f"{family}{GRAPH6_MAX_N}").n == GRAPH6_MAX_N
+
+        def refuse(k):
+            raise AssertionError(f"built a {family} on {k} vertices")
+
+        monkeypatch.setattr(graphs_mod, builder, refuse)
+        for order in (GRAPH6_MAX_N + 1, 3000, 100000):
+            for name in (f"{family}{order}", f"{family}({order})"):
+                with pytest.raises(ValueError, match=f"limited to {GRAPH6_MAX_N}"):
+                    named_graph(name)
 
 
 class TestMatrices:

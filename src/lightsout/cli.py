@@ -262,6 +262,12 @@ def cmd_maxsize(args: argparse.Namespace) -> int:
             f"--jobs {jobs} exceeds the {cpus} CPU(s);"
             f" at most {cpus} worker(s) will run"
         )
+    inputs = {
+        "n": args.n,
+        "modulus": args.modulus,
+        "bounded": args.bounded,
+        "prune": not args.no_prune,
+    }
     try:
         report = max_size_search(
             args.n,
@@ -271,20 +277,13 @@ def cmd_maxsize(args: argparse.Namespace) -> int:
             jobs=jobs,
         )
     except RuntimeError as exc:
+        # The negative answer: no winner within the cap, so no CSV row.
         _note(f"search exhausted: {exc}")
+        _emit("maxsize", inputs, {"exhausted": True, "max_size": None})
         return 1
     if args.csv:
         _append_csv(args.csv, report)
-    _emit(
-        "maxsize",
-        {
-            "n": args.n,
-            "modulus": args.modulus,
-            "bounded": args.bounded,
-            "prune": not args.no_prune,
-        },
-        report.to_json(),
-    )
+    _emit("maxsize", inputs, report.to_json())
     return 0
 
 

@@ -4,6 +4,9 @@ Everything here works with plain Python integers reduced to [0, ell), so all
 results are exact.  The central tool is a diagonalisation u_inv*M*v_inv = D
 (mod ell) with invertible u_inv, v_inv and diagonal D, from which solvability,
 complete solution sets and null-space generators follow coordinate-wise.
+Invertibility takes a route independent of it: a square matrix is
+invertible mod ell exactly when it has full rank over GF(p) for every prime
+p dividing ell, so is_invertible runs one elimination mod each such prime.
 
 Matrices are stored as tuples of row tuples, and the kernels work by rows.
 A product is one sum of products per row.  The diagonalisation keeps D, P
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -456,8 +460,8 @@ def normal_form(m: ZModMatrix) -> NormalForm:
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant (Bareiss fraction-free elimination).
 
-    Kept independent of normal_form so determinant-based and
-    decomposition-based invertibility checks are two separate routes.
+    The search's determinant kernel.  is_invertible does not use it, so the
+    tests can check elimination mod each prime against this exact value.
     """
     n = len(rows)
     if n == 0:
@@ -489,11 +493,90 @@ def det_mod(m: ZModMatrix) -> int:
     return det_int(m.to_rows()) % m.modulus
 
 
+@lru_cache(maxsize=256)
+def _prime_divisors(ell: int) -> Tuple[int, ...]:
+    """The distinct primes dividing ell >= 1, ascending, by trial division.
+
+    Any factor left once p * p exceeds it is prime.  For ell <= MAX_MODULUS
+    that is at most about 23,000 odd trial divisors, paid once per modulus.
+    """
+    primes = []
+    p = 2
+    while p * p <= ell:
+        if ell % p == 0:
+            primes.append(p)
+            while ell % p == 0:
+                ell //= p
+        p += 1 if p == 2 else 2
+    if ell > 1:
+        primes.append(ell)
+    return tuple(primes)
+
+
+def _full_rank_mod2(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the square matrix rows has full rank over GF(2).
+
+    Each row is packed into an int bitmask and reduced by XOR against a
+    basis of the rows before it, kept by leading bit.  The rank is full
+    exactly when no row reduces to zero.
+    """
+    basis = {}
+    for row in rows:
+        r = int("".join(["01"[x & 1] for x in row]), 2)
+        while r:
+            top = r.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = r
+                break
+            r ^= b
+        else:
+            return False
+    return True
+
+
+def _full_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> bool:
+    """Whether the square matrix rows has full rank over GF(p), p an odd prime.
+
+    Each step takes a pivot in the first column and scales its row so the
+    pivot is 1.  Every other row keeps only the columns right of the pivot,
+    and only the rows with a nonzero entry in the pivot column are updated.
+    """
+    live = [[x % p for x in row] for row in rows]
+    while live:
+        for i, r in enumerate(live):
+            if r[0]:
+                break
+        else:
+            return False
+        head, *tail = live.pop(i)
+        inv = pow(head, -1, p)
+        tail = [x * inv % p for x in tail]
+        rest = []
+        for r in live:
+            c = r[0]
+            if c:
+                rest.append([(x - c * y) % p for x, y in zip(r[1:], tail)])
+            else:
+                del r[0]
+                rest.append(r)
+        live = rest
+    return True
+
+
 def is_invertible(m: ZModMatrix) -> bool:
-    """True iff det(m) is a unit mod ell."""
+    """True iff det(m) is a unit mod ell.
+
+    That holds exactly when m has full rank over GF(p) for every prime p
+    dividing ell.  The primes are tried in ascending order, and the first
+    one over which m is singular decides.
+    """
     if not m.is_square:
         raise ValueError("invertibility requires a square matrix")
-    return math.gcd(det_mod(m), m.modulus) == 1
+    for p in _prime_divisors(m.modulus):
+        if not (_full_rank_mod2(m.data) if p == 2 else _full_rank_mod_p(m.data, p)):
+            return False
+    return True
 
 
 def solve(

@@ -426,13 +426,19 @@ class TestMaxsizeCommand:
             "5,4,8,1",
         ]
 
-    def test_exhausted_cap_exits_one(self, capsys):
+    def test_exhausted_cap_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
         code, payload, err = run_cli(
             capsys,
-            ["maxsize", "--n", "6", "--modulus", "30", "--bounded", "3"],
+            ["maxsize", "--n", "6", "--modulus", "30", "--bounded", "3",
+             "--csv", str(path)],
         )
-        assert code == 1 and payload is None
+        assert code == 1
+        assert payload["schema"] == 1 and payload["command"] == "maxsize"
+        assert payload["inputs"]["bounded"] == 3
+        assert payload["result"] == {"exhausted": True, "max_size": None}
         assert "raise the cap" in err
+        assert not path.exists()
 
     def test_scan_limit_exits_two_with_nothing_on_stdout(self, capsys, monkeypatch):
         def refuse(*args):

@@ -14,8 +14,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 import lightsout.modular as modular_mod
+from lightsout.graphs import Graph, neighborhood_matrix
 from lightsout.modular import (
     MAX_MODULUS,
     AuditError,
@@ -264,6 +266,86 @@ class TestInvertibility:
                 diag = normal_form(m).D.diag()
                 via_diag = all(d != 0 and math.gcd(d, ell) == 1 for d in diag)
                 assert is_invertible(m) == via_diag
+
+
+# Moduli for the differential test: prime powers, squarefree composites,
+# primes, and 2 * 1000003, whose largest prime exceeds isqrt(MAX_MODULUS), so
+# trial division ends with that prime left over.
+DIFFERENTIAL_MODULI = [
+    4, 8, 9, 27, 2**16,
+    6, 30, 210, 30030,
+    2, 3, 7, MAX_MODULUS,
+    2 * 1_000_003,
+]
+
+# Always-winnable verdicts of the k x k Lights Out grid mod 2, 3, 6, 30.
+GRID_MODULI = (2, 3, 6, 30)
+GRID_AW = {
+    5: (False, False, False, False),
+    6: (True, True, True, True),
+    7: (True, True, True, True),
+    8: (True, False, False, False),
+    9: (False, False, False, False),
+    10: (True, True, True, True),
+}
+
+
+def differential_corpus(rng: random.Random, n: int, ell: int):
+    """Uniform, sparse, and singular-mod-one-prime n x n matrices mod ell.
+
+    The third kind replaces the last row by a combination of the others plus
+    p times noise, for a prime p | ell, so it is singular mod p and often
+    invertible mod the other primes.
+    """
+    primes = sorted(factorint(ell))
+    yield random_square(rng, n, ell)
+    yield ZModMatrix(n, n, ell, [rng.randrange(ell) if rng.random() < 0.3 else 0
+                                 for _ in range(n * n)])
+    if n:
+        p = rng.choice(primes)
+        rows = random_square(rng, n, ell).to_rows()
+        coefs = [rng.randrange(ell) for _ in range(n - 1)]
+        rows[-1] = [
+            sum(c * row[j] for c, row in zip(coefs, rows)) + p * rng.randrange(ell)
+            for j in range(n)
+        ]
+        yield ZModMatrix.from_rows(rows, ell)
+
+
+def grid_matrix(k: int, ell: int) -> ZModMatrix:
+    edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    edges += [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    return neighborhood_matrix(Graph.from_edges(k * k, edges), ell)
+
+
+class TestInvertibilityDifferential:
+    """Elimination mod each prime of ell against the two other routes."""
+
+    @pytest.mark.parametrize("ell", DIFFERENTIAL_MODULI)
+    def test_matches_determinant_and_diagonal(self, ell):
+        rng = random.Random(ell)
+        verdicts = set()
+        for n in list(range(13)) * 3:
+            for m in differential_corpus(rng, n, ell):
+                by_det = math.gcd(det_int(m.to_rows()) % ell, ell) == 1
+                by_diag = all(
+                    d != 0 and math.gcd(d, ell) == 1 for d in normal_form(m).D.diag()
+                )
+                assert is_invertible(m) == by_det == by_diag, m
+                verdicts.add(by_det)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", sorted(GRID_AW))
+    def test_grid_verdicts(self, k):
+        for ell, aw in zip(GRID_MODULI, GRID_AW[k]):
+            assert is_invertible(grid_matrix(k, ell)) == aw, (k, ell)
+
+    def test_prime_divisors_match_factorint(self):
+        near = [32749, 32771, 32779, 32783]
+        cases = list(range(2, 5001)) + [MAX_MODULUS, MAX_MODULUS - 1]
+        cases += [p * q for p in near for q in near if p <= q]
+        for ell in cases:
+            assert modular_mod._prime_divisors(ell) == tuple(sorted(factorint(ell))), ell
 
 
 class TestNormalForm:

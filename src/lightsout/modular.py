@@ -9,16 +9,18 @@ invertible mod ell exactly when it has full rank over GF(p) for every prime
 p dividing ell, so is_invertible runs one elimination mod each such prime.
 
 Matrices are stored as tuples of row tuples, and the kernels work by rows.
-A product is one sum of products per row.  The diagonalisation keeps D, P
-and the transpose of Q as lists of rows, so every operation on P or Q is a
-row update, and it skips the entries an operation would leave unchanged.
+A product is one sum of products per row.  The diagonalisation works on D
+alone, as a list of rows, and skips the entries an operation would leave
+unchanged.  It logs its row and column operations instead of carrying
+u_inv and v_inv along, so solve applies them to one vector by replaying a
+log, and the full matrices are built only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -26,6 +28,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 MAX_MODULUS = 2**31 - 1
 # SolutionSet.enumerate (and count) refuse larger solution sets.
 MAX_ENUMERATED_SOLUTIONS = 2**20
+
+# One logged row or column operation (i, j, coef); see NormalForm.
+_Op = Tuple[int, int, Optional[int]]
 
 
 class AuditError(AssertionError):
@@ -195,11 +200,65 @@ class NormalForm:
     u_inv and v_inv are invertible, D is diagonal.  Each nonzero diagonal
     entry is normalized to gcd(d, ell), so it divides ell, and the nonzero
     entries form a divisibility chain.
+
+    The transforms are kept as the logs of the reduction that made D, each
+    entry (i, j, coef) in the order performed: coef None swaps i and j,
+    i == j scales i by the unit coef, and otherwise i gains coef times j.
+    row_log holds the row operations, so u_inv is the identity with them
+    applied to its rows.  col_log holds the column operations (swaps and
+    additions only), so v_inv is the identity with them applied to its
+    columns.  apply_u_inv and apply_v_inv replay a log on one vector; the
+    u_inv and v_inv matrices are built on first access.
     """
 
     D: ZModMatrix
-    u_inv: ZModMatrix
-    v_inv: ZModMatrix
+    row_log: Tuple[_Op, ...]
+    col_log: Tuple[_Op, ...]
+
+    @cached_property
+    def u_inv(self) -> ZModMatrix:
+        n, ell = self.D.rows, self.D.modulus
+        return ZModMatrix._of_rows(_replay_on_identity(self.row_log, n, ell), n, ell)
+
+    @cached_property
+    def v_inv(self) -> ZModMatrix:
+        # Column operations on v_inv are row operations on its transpose.
+        n, ell = self.D.cols, self.D.modulus
+        qt = _replay_on_identity(self.col_log, n, ell)
+        return ZModMatrix._of_rows(zip(*qt), n, ell)
+
+    def apply_u_inv(self, x: Sequence[int]) -> Tuple[int, ...]:
+        """u_inv * x: the row operations, first to last, on x."""
+        if len(x) != self.D.rows:
+            raise ValueError(f"vector length {len(x)} != rows {self.D.rows}")
+        ell = self.D.modulus
+        v = [e % ell for e in x]
+        for i, j, coef in self.row_log:
+            if coef is None:
+                v[i], v[j] = v[j], v[i]
+            elif i == j:
+                v[i] = v[i] * coef % ell
+            else:
+                v[i] = (v[i] + coef * v[j]) % ell
+        return tuple(v)
+
+    def apply_v_inv(self, y: Sequence[int]) -> Tuple[int, ...]:
+        """v_inv * y: the column operations, last to first, on y.
+
+        v_inv is the product F_1 * ... * F_s of the logged column
+        operations, so F_s acts on y first.  Column i gaining coef times
+        column j moves y's entry j by coef times its entry i.
+        """
+        if len(y) != self.D.cols:
+            raise ValueError(f"vector length {len(y)} != cols {self.D.cols}")
+        ell = self.D.modulus
+        v = [e % ell for e in y]
+        for i, j, coef in reversed(self.col_log):
+            if coef is None:
+                v[i], v[j] = v[j], v[i]
+            else:
+                v[j] = (v[j] + coef * v[i]) % ell
+        return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -240,13 +299,6 @@ class SolutionSet:
         return sum(1 for _ in self.enumerate())
 
 
-def _identity_rows(n: int) -> List[List[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
 def _span(row: List[int]) -> Tuple[int, int]:
     """The index span [lo, hi) holding the nonzero entries of a nonzero row."""
     nonzero = list(map(bool, row))
@@ -261,18 +313,38 @@ def _add_span(
         dst[t] = (dst[t] + coef * src[t]) % ell
 
 
+def _replay_on_identity(log: Iterable[_Op], n: int, ell: int) -> List[List[int]]:
+    """The rows of the n x n identity after the logged row operations.
+
+    An addition runs only over the span of its source row's nonzero
+    entries, since elsewhere it adds zero.
+    """
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    for i, j, coef in log:
+        if coef is None:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = [x * coef % ell for x in rows[i]]
+        else:
+            _add_span(rows[i], rows[j], coef, ell, *_span(rows[j]))
+    return rows
+
+
 class _Reduction:
-    """Mutable worktable maintaining P * M * Q = D with P, Q invertible.
+    """Mutable worktable that reduces D = M to diagonal form and logs how.
 
-    Row operations act as D <- E * D, P <- E * P; column operations act as
-    D <- D * F, Q <- Q * F.  Every entry is reduced mod ell after each step.
+    Row operations act as D <- E * D and column operations as D <- D * F,
+    with every entry reduced mod ell after each step.  Each operation is
+    appended to row_log or col_log in the format of NormalForm, so the
+    worktable never holds the transforms P = u_inv and Q = v_inv that
+    satisfy P * M * Q = D.
 
-    D and P are lists of rows, and Q is kept transposed (``qt``), so every
-    update to P or Q is a row update: a column operation on Q is a row
-    operation on Q^T.  Such an update runs only over the span [lo, hi) of
-    the source row's nonzero entries, since elsewhere it adds zero.  For
-    the same reason a column operation on D during ``diagonalize`` touches
-    only the live rows, those whose entry in the pivot column is nonzero.
+    A row addition runs only over the span [lo, hi) of the source row's
+    nonzero entries, since elsewhere it adds zero.  For the same reason a
+    column operation during ``diagonalize`` touches only the live rows,
+    those whose entry in the pivot column is nonzero.
     """
 
     def __init__(self, m: ZModMatrix):
@@ -280,36 +352,36 @@ class _Reduction:
         self.r = m.rows
         self.c = m.cols
         self.d = [list(row) for row in m.data]
-        self.p = _identity_rows(self.r)
-        self.qt = _identity_rows(self.c)
+        self.row_log: List[_Op] = []
+        self.col_log: List[_Op] = []
 
     def swap_rows(self, i: int, j: int) -> None:
         if i == j:
             return
         self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.p[i], self.p[j] = self.p[j], self.p[i]
+        self.row_log.append((i, j, None))
 
     def add_row(self, i: int, j: int, coef: int) -> None:
-        """Row i of D gains coef * row j; P follows suit."""
-        _add_span(self.d[i], self.d[j], coef, self.ell, 0, self.c)
-        _add_span(self.p[i], self.p[j], coef, self.ell, *_span(self.p[j]))
+        """Row i of D gains coef * row j."""
+        _add_span(self.d[i], self.d[j], coef, self.ell, *_span(self.d[j]))
+        self.row_log.append((i, j, coef))
 
     def swap_cols(self, i: int, j: int) -> None:
         if i == j:
             return
         for row in self.d:
             row[i], row[j] = row[j], row[i]
-        self.qt[i], self.qt[j] = self.qt[j], self.qt[i]
+        self.col_log.append((i, j, None))
 
     def add_col(self, i: int, j: int, coef: int) -> None:
-        """Column i of D gains coef * column j; Q follows suit."""
+        """Column i of D gains coef * column j."""
         ell = self.ell
         for row in self.d:
             row[i] = (row[i] + coef * row[j]) % ell
-        _add_span(self.qt[i], self.qt[j], coef, ell, *_span(self.qt[j]))
+        self.col_log.append((i, j, coef))
 
     def scale_diag_to_gcd(self, k: int) -> None:
-        """Replace d_k by gcd(d_k, ell), scaling row k of P by a unit."""
+        """Replace d_k by gcd(d_k, ell), scaling row k by a unit."""
         ell = self.ell
         d = self.d[k][k]
         if d == 0:
@@ -317,11 +389,8 @@ class _Reduction:
         g = math.gcd(d, ell)
         if d == g:
             return
-        u_inv = pow(unit_lift(d, g, ell), -1, ell)
         self.d[k][k] = g
-        pk = self.p[k]
-        for t in range(self.r):
-            pk[t] = (pk[t] * u_inv) % ell
+        self.row_log.append((k, k, pow(unit_lift(d, g, ell), -1, ell)))
 
     def find_pivot(self, k: int) -> Optional[Tuple[int, int]]:
         """Smallest nonzero entry in the trailing block, ties by (row, col).
@@ -347,13 +416,14 @@ class _Reduction:
     def diagonalize(self) -> None:
         """Clear row and column k around a smallest pivot, for each k in turn.
 
-        Rows and columns before k are already clear, so the row operations
-        run over columns k.. of D.  Column operations on D touch only the
-        live rows, the rows from k on whose column k is nonzero; once the
-        row operations are done that is row k alone unless some entry below
-        the pivot left a remainder.
+        Rows and columns before k are already clear, so the pivot row's
+        nonzero span is [k, hi) and the row operations run over it alone.
+        Column operations touch only the live rows, the rows from k on
+        whose column k is nonzero; once the row operations are done that is
+        row k alone unless some entry below the pivot left a remainder.
         """
-        ell, d, p, qt, r, c = self.ell, self.d, self.p, self.qt, self.r, self.c
+        ell, d, r, c = self.ell, self.d, self.r, self.c
+        row_log, col_log = self.row_log, self.col_log
         for k in range(min(r, c)):
             while True:
                 piv = self.find_pivot(k)
@@ -363,28 +433,23 @@ class _Reduction:
                 self.swap_cols(k, piv[1])
                 dk = d[k]
                 pivot = dk[k]
+                hi = _span(dk)[1]
                 live = [k]
-                below = [i for i in range(k + 1, r) if d[i][k]]
-                if below:
-                    pk = p[k]
-                    lo, hi = _span(pk)
-                    for i in below:
-                        di, pi = d[i], p[i]
+                for i in range(k + 1, r):
+                    di = d[i]
+                    if di[k]:
                         coef = -(di[k] // pivot)
-                        _add_span(di, dk, coef, ell, k, c)
-                        _add_span(pi, pk, coef, ell, lo, hi)
+                        _add_span(di, dk, coef, ell, k, hi)
+                        row_log.append((i, k, coef))
                         if di[k]:
                             live.append(i)
-                cols = [j for j in range(k + 1, c) if dk[j]]
-                if cols:
-                    qk = qt[k]
-                    lo, hi = _span(qk)
-                    for j in cols:
+                for j in range(k + 1, hi):
+                    if dk[j]:
                         coef = -(dk[j] // pivot)
                         for i in live:
                             di = d[i]
                             di[j] = (di[j] + coef * di[k]) % ell
-                        _add_span(qt[j], qk, coef, ell, lo, hi)
+                        col_log.append((j, k, coef))
                 if len(live) == 1 and not any(dk[k + 1 :]):
                     break
 
@@ -449,11 +514,10 @@ def normal_form(m: ZModMatrix) -> NormalForm:
     work = _Reduction(m)
     work.diagonalize()
     work.fix_chain()
-    ell = m.modulus
     return NormalForm(
-        D=ZModMatrix._of_rows(work.d, work.c, ell),
-        u_inv=ZModMatrix._of_rows(work.p, work.r, ell),
-        v_inv=ZModMatrix._of_rows(zip(*work.qt), work.c, ell),
+        D=ZModMatrix._of_rows(work.d, work.c, m.modulus),
+        row_log=tuple(work.row_log),
+        col_log=tuple(work.col_log),
     )
 
 
@@ -587,18 +651,23 @@ def solve(
     With u_inv M v_inv = D, the system becomes D y = u_inv c with x = v_inv y.
     Each coordinate equation d * y = c' (mod ell) with d | ell is solvable
     iff d | c', contributing y = c'/d and a null generator of order ell/d.
-    Pass a precomputed NormalForm to amortize repeated solves.
+    Pass a precomputed NormalForm of m to amortize repeated solves; one of
+    another shape or modulus raises ValueError.
     """
     ell = m.modulus
     if len(c) != m.rows:
         raise ValueError(f"right-hand side length {len(c)} != rows {m.rows}")
     if nf is None:
         nf = normal_form(m)
-    cp = nf.u_inv.mul_vec([x % ell for x in c])
+    elif (nf.D.rows, nf.D.cols, nf.D.modulus) != (m.rows, m.cols, ell):
+        raise ValueError(
+            f"normal form of a {nf.D.rows}x{nf.D.cols} matrix mod {nf.D.modulus}"
+            f" passed for a {m.rows}x{m.cols} matrix mod {ell}"
+        )
+    cp = nf.apply_u_inv(c)
     diag = nf.D.diag()
     y = [0] * m.cols
-    # Null generators in y-coordinates, as (i, scale) for scale * e_i; the
-    # image v_inv * (scale * e_i) is scale times column i of v_inv.
+    # Null generators in y-coordinates, as (i, scale) for scale * e_i.
     gens_y: List[Tuple[int, int]] = []
     for i in range(m.rows):
         ci = cp[i]
@@ -622,11 +691,12 @@ def solve(
     for j in range(m.rows, m.cols):
         gens_y.append((j, 1))
 
-    q = nf.v_inv
-    particular = q.mul_vec(y)
+    particular = nf.apply_v_inv(y)
     gens = []
     for i, scale in gens_y:
-        img = tuple([(a * scale) % ell for a in q.col(i)])
+        e = [0] * m.cols
+        e[i] = scale
+        img = nf.apply_v_inv(e)
         if any(img):
             gens.append(img)
     if m.mul_vec(particular) != tuple(x % ell for x in c):

@@ -288,7 +288,7 @@ def _unshiftable_labeling(
     0..j come first, so the first labeling outside K is the unit vector e_j
     for the largest j with e_j outside K.  With u_inv' [A | 1] v_inv' = D'
     and m'_i likewise, e_j lies in K exactly when m'_i divides entry i of
-    column j of u_inv' for every i.
+    u_inv' * e_j for every i.
     """
     ell = mat.modulus
     if r == math.prod(d or ell for d in nf.D.diag()):
@@ -297,8 +297,9 @@ def _unshiftable_labeling(
     joined = normal_form(_shift_game(mat))
     mods = [d or ell for d in joined.D.diag()]
     for j in reversed(range(n)):
-        if any(u % m for u, m in zip(joined.u_inv.col(j), mods)):
-            return tuple(int(i == j) for i in range(n))
+        e_j = tuple(int(i == j) for i in range(n))
+        if any(u % m for u, m in zip(joined.apply_u_inv(e_j), mods)):
+            return e_j
     raise AuditError("shift subgroup is proper but every labeling is shift-winnable")
 
 

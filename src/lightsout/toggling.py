@@ -139,7 +139,7 @@ def minimal_nonempty_r(
     if nf is None:
         nf = normal_form(m)
     ell = m.modulus
-    w = nf.u_inv.mul_vec([int(v in u) for v in range(m.rows)])
+    w = nf.apply_u_inv([int(v in u) for v in range(m.rows)])
     order = 1
     for d, w_i in zip(nf.D.diag(), w):
         m_i = d or ell

@@ -140,12 +140,12 @@ class TestWinnable:
             assert whole == (left and right)
 
     def test_corrupted_normal_form_fails_solve_check(self):
-        # A zero v_inv turns every particular solution into 0, which does
-        # not clear a nonzero labeling; solve's audit must catch it.
+        # A zero scale of row 0 logged first makes u_inv drop the only
+        # nonzero label, so the particular solution is 0, which does not
+        # clear the labeling; solve's audit must catch it.
         m = neighborhood_matrix(named_graph("path4"), 3)
-        bad = dataclasses.replace(
-            normal_form(m), v_inv=ZModMatrix(4, 4, 3, [0] * 16)
-        )
+        nf = normal_form(m)
+        bad = dataclasses.replace(nf, row_log=((0, 0, 0),) + nf.row_log)
         with pytest.raises(AuditError, match="particular solution failed check"):
             winnable(m, (1, 0, 0, 0), nf=bad)
 

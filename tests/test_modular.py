@@ -462,6 +462,21 @@ class TestSolve:
                 got = set() if sol is None else set(sol.enumerate())
                 assert got == expected
 
+    @pytest.mark.parametrize(
+        "other",
+        [
+            ZModMatrix.from_rows(ADJ_C3, modulus=5),
+            ZModMatrix.identity(2, 6),
+            ZModMatrix.identity(4, 6),
+            ZModMatrix(3, 2, 6, [1, 0, 0, 1, 1, 1]),
+        ],
+        ids=["modulus", "smaller", "larger", "rectangular"],
+    )
+    def test_normal_form_of_another_matrix_rejected(self, other):
+        m = ZModMatrix.from_rows(ADJ_C3, modulus=6)
+        with pytest.raises(ValueError, match="normal form of a"):
+            solve(m, [1, 0, 0], nf=normal_form(other))
+
     def test_precomputed_normal_form_reuse(self):
         m = ZModMatrix.from_rows(ADJ_C3, modulus=6)
         nf = normal_form(m)

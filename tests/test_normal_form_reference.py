@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from lightsout.graphs import Graph, neighborhood_matrix
+from lightsout.graphs import Graph, adjacency_matrix, neighborhood_matrix
 from lightsout.modular import ZModMatrix, normal_form, solve, unit_lift
 
 MODULI = [2, 3, 4, 6, 8, 9, 12, 30, 97, 210, 2**31 - 1]
@@ -241,10 +241,24 @@ def random_corpus(seed: int):
                 yield ZModMatrix(r, c, ell, entries)
 
 
-def grid_matrix(k: int, ell: int) -> ZModMatrix:
+def grid_graph(k: int) -> Graph:
     edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
     edges += [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
-    return neighborhood_matrix(Graph.from_edges(k * k, edges), ell)
+    return Graph.from_edges(k * k, edges)
+
+
+def grid_matrix(k: int, ell: int) -> ZModMatrix:
+    return neighborhood_matrix(grid_graph(k), ell)
+
+
+def assert_same_solution(m: ZModMatrix, c) -> None:
+    got = solve(m, c)
+    want = ref_solve(m, c)
+    if want is None:
+        assert got is None, (m, c)
+    else:
+        assert got is not None, (m, c)
+        assert (got.particular, got.null_generators) == want, (m, c)
 
 
 def assert_same_normal_form(m: ZModMatrix) -> None:
@@ -266,7 +280,7 @@ class TestNormalFormMatchesReference:
 
     @pytest.mark.parametrize("ell", [2, 3, 6, 30])
     def test_grids(self, ell):
-        for k in range(2, 8):
+        for k in range(2, 11):
             assert_same_normal_form(grid_matrix(k, ell))
 
     @pytest.mark.parametrize("ell", [6, 30])
@@ -299,16 +313,43 @@ class TestSolveMatchesReference:
                 c = m.mul_vec([rng.randrange(ell) for _ in range(m.cols)])
             else:
                 c = [rng.randrange(ell) for _ in range(m.rows)]
-            got = solve(m, c)
-            want = ref_solve(m, c)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert (got.particular, got.null_generators) == want
+            assert_same_solution(m, c)
+
+    @pytest.mark.parametrize("ell", [2, 3, 6, 30])
+    def test_grids(self, ell):
+        # The closed grids are singular in 18 of these 36 cases and the open
+        # grids (adjacency) in all 36, so null generators get compared.
+        rng = random.Random(100 + ell)
+        for k in range(2, 11):
+            n = k * k
+            for m in (grid_matrix(k, ell), adjacency_matrix(grid_graph(k), ell)):
+                assert_same_solution(m, m.mul_vec([rng.randrange(ell) for _ in range(n)]))
+                assert_same_solution(m, [rng.randrange(ell) for _ in range(n)])
 
     def test_mul_vec_matches_reference(self):
         rng = random.Random(3)
         for m in random_corpus(3):
             x = [rng.randrange(-m.modulus, 2 * m.modulus) for _ in range(m.cols)]
             assert m.mul_vec(x) == ref_mul_vec(m, x)
+
+
+class TestLogReplay:
+    """NormalForm's log replays against the matrices built from the logs."""
+
+    @pytest.mark.parametrize("seed", [4])
+    def test_vector_methods_match_the_matrices(self, seed):
+        rng = random.Random(seed)
+        for m in random_corpus(seed):
+            nf = normal_form(m)
+            ell = m.modulus
+            x = [rng.randrange(-ell, 2 * ell) for _ in range(m.rows)]
+            y = [rng.randrange(-ell, 2 * ell) for _ in range(m.cols)]
+            assert nf.apply_u_inv(x) == nf.u_inv.mul_vec(x), m
+            assert nf.apply_v_inv(y) == nf.v_inv.mul_vec(y), m
+
+    def test_vector_length_checked(self):
+        nf = normal_form(ZModMatrix(2, 3, 6, [1, 2, 3, 4, 5, 0]))
+        with pytest.raises(ValueError):
+            nf.apply_u_inv([1, 2, 3])
+        with pytest.raises(ValueError):
+            nf.apply_v_inv([1, 2])

@@ -259,32 +259,28 @@ def named_graph(name: str) -> Graph:
     raise ValueError(f"unknown graph name: {name!r}")
 
 
-def neighborhood_matrix(g: Graph, ell: int) -> ZModMatrix:
-    """Closed-neighborhood 0/1 matrix: unit diagonal plus adjacency."""
+def _graph_matrix(g: Graph, ell: int, diagonal: int) -> ZModMatrix:
+    """The 0/1 adjacency matrix of g with every diagonal entry set to diagonal."""
     check_modulus(ell)
     n = g.n
     flat = [0] * (n * n)
     for i in range(n):
-        flat[i * n + i] = 1
+        flat[i * n + i] = diagonal
         mask = g.adj[i]
         while mask:
             j = (mask & -mask).bit_length() - 1
             flat[i * n + j] = 1
             mask &= mask - 1
     return ZModMatrix(n, n, ell, flat)
+
+
+def neighborhood_matrix(g: Graph, ell: int) -> ZModMatrix:
+    """Closed-neighborhood 0/1 matrix: unit diagonal plus adjacency."""
+    return _graph_matrix(g, ell, 1)
 
 
 def adjacency_matrix(g: Graph, ell: int) -> ZModMatrix:
-    check_modulus(ell)
-    n = g.n
-    flat = [0] * (n * n)
-    for i in range(n):
-        mask = g.adj[i]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            flat[i * n + j] = 1
-            mask &= mask - 1
-    return ZModMatrix(n, n, ell, flat)
+    return _graph_matrix(g, ell, 0)
 
 
 def find_M_twins(m: ZModMatrix) -> List[Tuple[int, int]]:

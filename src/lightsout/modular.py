@@ -13,7 +13,7 @@ A product is one sum of products per row.  The diagonalisation works on D
 alone, as a list of rows, and skips the entries an operation would leave
 unchanged.  It logs its row and column operations instead of carrying
 u_inv and v_inv along, so solve applies them to one vector by replaying a
-log, and the full matrices are built only when asked for.
+log; the full matrices are the same replays on unit vectors, on request.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ class NormalForm:
     row_log holds the row operations, so u_inv is the identity with them
     applied to its rows.  col_log holds the column operations (swaps and
     additions only), so v_inv is the identity with them applied to its
-    columns.  apply_u_inv and apply_v_inv replay a log on one vector; the
-    u_inv and v_inv matrices are built on first access.
+    columns.  apply_u_inv and apply_v_inv replay a log on one vector; u_inv
+    and v_inv, built on first access, are the replays on the unit vectors.
     """
 
     D: ZModMatrix
@@ -218,14 +218,14 @@ class NormalForm:
     @cached_property
     def u_inv(self) -> ZModMatrix:
         n, ell = self.D.rows, self.D.modulus
-        return ZModMatrix._of_rows(_replay_on_identity(self.row_log, n, ell), n, ell)
+        cols = map(self.apply_u_inv, ZModMatrix.identity(n, ell).data)
+        return ZModMatrix._of_rows(zip(*cols), n, ell)
 
     @cached_property
     def v_inv(self) -> ZModMatrix:
-        # Column operations on v_inv are row operations on its transpose.
         n, ell = self.D.cols, self.D.modulus
-        qt = _replay_on_identity(self.col_log, n, ell)
-        return ZModMatrix._of_rows(zip(*qt), n, ell)
+        cols = map(self.apply_v_inv, ZModMatrix.identity(n, ell).data)
+        return ZModMatrix._of_rows(zip(*cols), n, ell)
 
     def apply_u_inv(self, x: Sequence[int]) -> Tuple[int, ...]:
         """u_inv * x: the row operations, first to last, on x."""
@@ -299,10 +299,9 @@ class SolutionSet:
         return sum(1 for _ in self.enumerate())
 
 
-def _span(row: List[int]) -> Tuple[int, int]:
-    """The index span [lo, hi) holding the nonzero entries of a nonzero row."""
-    nonzero = list(map(bool, row))
-    return nonzero.index(True), len(row) - nonzero[::-1].index(True)
+def _span_end(row: List[int]) -> int:
+    """One past the index of the last nonzero entry of a nonzero row."""
+    return len(row) - list(map(bool, row))[::-1].index(True)
 
 
 def _add_span(
@@ -311,25 +310,6 @@ def _add_span(
     """dst[lo:hi] gains coef * src[lo:hi], reduced mod ell."""
     for t in range(lo, hi):
         dst[t] = (dst[t] + coef * src[t]) % ell
-
-
-def _replay_on_identity(log: Iterable[_Op], n: int, ell: int) -> List[List[int]]:
-    """The rows of the n x n identity after the logged row operations.
-
-    An addition runs only over the span of its source row's nonzero
-    entries, since elsewhere it adds zero.
-    """
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    for i, j, coef in log:
-        if coef is None:
-            rows[i], rows[j] = rows[j], rows[i]
-        elif i == j:
-            rows[i] = [x * coef % ell for x in rows[i]]
-        else:
-            _add_span(rows[i], rows[j], coef, ell, *_span(rows[j]))
-    return rows
 
 
 class _Reduction:
@@ -341,10 +321,12 @@ class _Reduction:
     worktable never holds the transforms P = u_inv and Q = v_inv that
     satisfy P * M * Q = D.
 
-    A row addition runs only over the span [lo, hi) of the source row's
-    nonzero entries, since elsewhere it adds zero.  For the same reason a
-    column operation during ``diagonalize`` touches only the live rows,
-    those whose entry in the pivot column is nonzero.
+    ``diagonalize`` runs over the whole matrix, then over each 2x2 block
+    that ``fix_chain`` re-diagonalises.  Operations skip entries they would
+    leave unchanged: a row addition stops at the source row's last nonzero
+    entry, a column operation in ``diagonalize`` touches only the rows
+    whose pivot-column entry is nonzero, and a column swap skips the
+    already-clear rows above both columns.
     """
 
     def __init__(self, m: ZModMatrix):
@@ -361,15 +343,10 @@ class _Reduction:
         self.d[i], self.d[j] = self.d[j], self.d[i]
         self.row_log.append((i, j, None))
 
-    def add_row(self, i: int, j: int, coef: int) -> None:
-        """Row i of D gains coef * row j."""
-        _add_span(self.d[i], self.d[j], coef, self.ell, *_span(self.d[j]))
-        self.row_log.append((i, j, coef))
-
     def swap_cols(self, i: int, j: int) -> None:
         if i == j:
             return
-        for row in self.d:
+        for row in self.d[min(i, j) :]:
             row[i], row[j] = row[j], row[i]
         self.col_log.append((i, j, None))
 
@@ -392,19 +369,19 @@ class _Reduction:
         self.d[k][k] = g
         self.row_log.append((k, k, pow(unit_lift(d, g, ell), -1, ell)))
 
-    def find_pivot(self, k: int) -> Optional[Tuple[int, int]]:
-        """Smallest nonzero entry in the trailing block, ties by (row, col).
+    def find_pivot(self, k: int, end: int) -> Optional[Tuple[int, int]]:
+        """Smallest nonzero entry in rows [k, end), ties by (row, col).
 
-        Rows k.. are zero left of column k, so whole rows can be searched.
-        A 1 is the smallest possible value, so the first 1 in row-major
-        order is the answer whenever the block holds one.
+        Rows k.. are zero left of column k (and right of a block), so whole
+        rows can be searched.  A 1 is the smallest possible value, so the
+        first 1 in row-major order, if any, is the answer.
         """
         d = self.d
-        for i in range(k, self.r):
+        for i in range(k, end):
             if 1 in d[i]:
                 return i, d[i].index(1)
         best: Optional[Tuple[int, int, int]] = None
-        for i in range(k, self.r):
+        for i in range(k, end):
             row = d[i]
             e = min(filter(None, row), default=0)
             if e and (best is None or e < best[0]):
@@ -413,27 +390,30 @@ class _Reduction:
             return None
         return best[1], best[2]
 
-    def diagonalize(self) -> None:
+    def diagonalize(self, start: int = 0, end: Optional[int] = None) -> None:
         """Clear row and column k around a smallest pivot, for each k in turn.
 
-        Rows and columns before k are already clear, so the pivot row's
-        nonzero span is [k, hi) and the row operations run over it alone.
-        Column operations touch only the live rows, the rows from k on
-        whose column k is nonzero; once the row operations are done that is
-        row k alone unless some entry below the pivot left a remainder.
+        The pass covers pivots from start on and rows [start, end); the
+        defaults cover the whole matrix.  Rows and columns before k are
+        already clear, so the pivot row's nonzero span is [k, hi) and the
+        row operations run over it alone.  Column operations touch only the
+        live rows, the rows from k on whose column k is nonzero; once the
+        row operations are done that is row k alone unless some entry below
+        the pivot left a remainder.
         """
-        ell, d, r, c = self.ell, self.d, self.r, self.c
+        ell, d, c = self.ell, self.d, self.c
+        r = self.r if end is None else end
         row_log, col_log = self.row_log, self.col_log
-        for k in range(min(r, c)):
+        for k in range(start, min(r, c)):
             while True:
-                piv = self.find_pivot(k)
+                piv = self.find_pivot(k, r)
                 if piv is None:
                     return
                 self.swap_rows(k, piv[0])
                 self.swap_cols(k, piv[1])
                 dk = d[k]
                 pivot = dk[k]
-                hi = _span(dk)[1]
+                hi = _span_end(dk)
                 live = [k]
                 for i in range(k + 1, r):
                     di = d[i]
@@ -454,8 +434,12 @@ class _Reduction:
                     break
 
     def fix_chain(self) -> None:
-        """Normalize diagonal entries to gcd with ell and enforce d_i | d_{i+1}."""
-        ell = self.ell
+        """Normalize diagonal entries to gcd with ell and enforce d_i | d_{i+1}.
+
+        Zeros swap to the end.  For a not dividing b, adding column k+1 to
+        column k makes the block [[a, 0], [b, b]], and ``diagonalize`` on
+        it leaves gcd(a, b) at k.
+        """
         size = min(self.r, self.c)
         for k in range(size):
             if self.d[k][k]:
@@ -471,38 +455,11 @@ class _Reduction:
                     self.swap_cols(k, k + 1)
                     changed = True
                 elif a and b and b % a != 0:
-                    # Re-diagonalize the 2x2 block diag(a, b): pulling column
-                    # k+1 into column k creates [[a, 0], [b, b]], whose local
-                    # clearing yields diag(gcd(a, b), lcm-like).
                     self.add_col(k, k + 1, 1)
-                    self._clear_two(k)
+                    self.diagonalize(k, k + 2)
                     self.scale_diag_to_gcd(k)
                     self.scale_diag_to_gcd(k + 1)
                     changed = True
-
-    def _clear_two(self, k: int) -> None:
-        """Local re-diagonalization of the 2x2 block at (k, k)."""
-        while True:
-            candidates = [
-                (self.d[i][j], i, j)
-                for i in (k, k + 1)
-                for j in (k, k + 1)
-                if self.d[i][j]
-            ]
-            if not candidates:
-                return
-            _, pi, pj = min(candidates)
-            self.swap_rows(k, pi)
-            self.swap_cols(k, pj)
-            p = self.d[k][k]
-            e = self.d[k + 1][k]
-            if e:
-                self.add_row(k + 1, k, -(e // p))
-            e = self.d[k][k + 1]
-            if e:
-                self.add_col(k + 1, k, -(e // p))
-            if self.d[k + 1][k] == 0 and self.d[k][k + 1] == 0:
-                return
 
 
 def normal_form(m: ZModMatrix) -> NormalForm:

@@ -65,13 +65,6 @@ def _audited(outcome: ReductionOutcome) -> ReductionOutcome:
     return outcome
 
 
-def add_universal_vertex(g: Graph) -> Graph:
-    """g plus one new vertex adjacent to everything (the complement of
-    adding an isolated vertex before complementing)."""
-    edges = g.edges() + [(v, g.n) for v in range(g.n)]
-    return Graph.from_edges(g.n + 1, edges)
-
-
 def dominating_reduction(g: Graph, ell: int) -> ReductionOutcome:
     """Complement-with-dominating-vertex rule.
 

@@ -301,6 +301,26 @@ class TestNormalFormMatchesReference:
         m = ZModMatrix.from_rows([[3, 0, 1], [1, 3, 0], [0, 1, 3]], 30)
         assert_same_normal_form(m)
 
+    @pytest.mark.parametrize(
+        "rows, ell",
+        [
+            ([[2, 0], [0, 3]], 6),
+            # gcd(2, 3) = 1 leaves 6 = 0 at index 1, which must move past 3.
+            ([[2, 0, 0], [0, 3, 0], [0, 0, 3]], 6),
+            ([[4, 0], [0, 6]], 12),
+            ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], 30),
+            ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 30),
+            ([[2, 0, 0], [0, 3, 0]], 6),
+        ],
+    )
+    def test_chain_fix(self, rows, ell):
+        # A diagonal that breaks the divisibility chain, so fix_chain logs
+        # the column addition (k, k + 1, 1) that opens a 2x2 block pass.
+        m = ZModMatrix.from_rows(rows, ell)
+        assert_same_normal_form(m)
+        col_log = normal_form(m).col_log
+        assert any(coef == 1 and j == i + 1 for i, j, coef in col_log), col_log
+
 
 class TestSolveMatchesReference:
     @pytest.mark.parametrize("seed", [2])
@@ -334,18 +354,19 @@ class TestSolveMatchesReference:
 
 
 class TestLogReplay:
-    """NormalForm's log replays against the matrices built from the logs."""
+    """NormalForm's log replays against the reference kernel's carried P and Q."""
 
     @pytest.mark.parametrize("seed", [4])
     def test_vector_methods_match_the_matrices(self, seed):
         rng = random.Random(seed)
         for m in random_corpus(seed):
             nf = normal_form(m)
+            _, u_ref, v_ref = ref_normal_form(m)
             ell = m.modulus
             x = [rng.randrange(-ell, 2 * ell) for _ in range(m.rows)]
             y = [rng.randrange(-ell, 2 * ell) for _ in range(m.cols)]
-            assert nf.apply_u_inv(x) == nf.u_inv.mul_vec(x), m
-            assert nf.apply_v_inv(y) == nf.v_inv.mul_vec(y), m
+            assert nf.apply_u_inv(x) == u_ref.mul_vec(x), m
+            assert nf.apply_v_inv(y) == v_ref.mul_vec(y), m
 
     def test_vector_length_checked(self):
         nf = normal_form(ZModMatrix(2, 3, 6, [1, 2, 3, 4, 5, 0]))

@@ -507,13 +507,6 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_mod(m: ZModMatrix) -> int:
-    """det(m) reduced into [0, ell)."""
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    return det_int(m.to_rows()) % m.modulus
-
-
 @lru_cache(maxsize=256)
 def _prime_divisors(ell: int) -> Tuple[int, ...]:
     """The distinct primes dividing ell >= 1, ascending, by trial division.
@@ -562,6 +555,8 @@ def _full_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> bool:
     Each step takes a pivot in the first column and scales its row so the
     pivot is 1.  Every other row keeps only the columns right of the pivot,
     and only the rows with a nonzero entry in the pivot column are updated.
+    An update stops at the scaled pivot row's last nonzero entry and carries
+    the rest of the row over unchanged.
     """
     live = [[x % p for x in row] for row in rows]
     while live:
@@ -572,15 +567,16 @@ def _full_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> bool:
             return False
         head, *tail = live.pop(i)
         inv = pow(head, -1, p)
-        tail = [x * inv % p for x in tail]
+        hi = _span_end(tail) if any(tail) else 0
+        tail = [x * inv % p for x in tail[:hi]]
         rest = []
         for r in live:
             c = r[0]
             if c:
-                rest.append([(x - c * y) % p for x, y in zip(r[1:], tail)])
+                r = [(x - c * y) % p for x, y in zip(r[1 : hi + 1], tail)] + r[hi + 1 :]
             else:
                 del r[0]
-                rest.append(r)
+            rest.append(r)
         live = rest
     return True
 
@@ -659,13 +655,3 @@ def solve(
     if m.mul_vec(particular) != tuple(x % ell for x in c):
         raise AuditError("internal solver error: particular solution failed check")
     return SolutionSet(particular=particular, null_generators=tuple(gens), modulus=ell)
-
-
-def nullspace(m: ZModMatrix) -> List[Tuple[int, ...]]:
-    """Generators of {x : m x = 0}; empty exactly when m is invertible."""
-    if not m.is_square:
-        raise ValueError("nullspace requires a square matrix")
-    sol = solve(m, [0] * m.rows)
-    if sol is None:
-        raise AuditError("homogeneous system reported unsolvable")
-    return list(sol.null_generators)

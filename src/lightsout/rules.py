@@ -356,28 +356,6 @@ def pendantremove_conditions(g: Graph, p: int, ell: int) -> PendantConditions:
     return result
 
 
-def dominating_vertices(g: Graph) -> List[int]:
-    return [v for v in range(g.n) if g.degree(v) == g.n - 1]
-
-
-def extdom_filter(g: Graph) -> bool:
-    """Exclude a dominating-vertex graph from extremal candidacy.
-
-    True when the complement has a pendant vertex outside any two-vertex
-    component; such graphs are beaten by a denser always-winnable graph.
-    """
-    if not dominating_vertices(g):
-        raise ValueError("rule requires a dominating vertex")
-    gbar = complement(g)
-    comp_of = {}
-    for comp in gbar.components():
-        for v in comp:
-            comp_of[v] = len(comp)
-    return any(
-        gbar.degree(v) == 1 and comp_of[v] != 2 for v in range(gbar.n)
-    )
-
-
 def extswitch_valid(
     g: Graph, component: Sequence[int], replacement: Graph, ell: int
 ) -> bool:

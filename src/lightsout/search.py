@@ -38,9 +38,7 @@ from .graphs import (
     corona_pendant,
     cycle_graph,
     disjoint_union,
-    graph6_decode,
     graph6_encode,
-    is_pendant_graph,
     matching_graph,
     neighborhood_matrix,
     path_graph,
@@ -589,87 +587,3 @@ def triangle_family_graph(n: int) -> Graph:
         base = disjoint_union(base, matching_graph(n - 4))
     base = disjoint_union(base, Graph(1, [0]))
     return complement(base)
-
-
-@dataclass(frozen=True)
-class ConjectureCheck:
-    """Search-versus-prediction record with pendant classification.
-
-    pendant_complement pairs each extremal graph6 string with whether
-    its complement is a pendant graph.  triangle_family lists extremal
-    graphs matched by the known non-pendant family; unexplained lists
-    extremal graphs that are neither.
-    """
-
-    n: int
-    ell: int
-    max_size: int
-    conjectured: ConjecturedMax
-    agree: bool
-    pendant_complement: Tuple[Tuple[str, bool], ...]
-    all_pendant_complements: bool
-    triangle_family: Tuple[str, ...]
-    unexplained: Tuple[str, ...]
-    report: ExtremalReport
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "max_size": self.max_size,
-            "conjectured": self.conjectured.to_json(),
-            "agree": self.agree,
-            "pendant_complement": [
-                [g6, flag] for g6, flag in self.pendant_complement
-            ],
-            "all_pendant_complements": self.all_pendant_complements,
-            "triangle_family": list(self.triangle_family),
-            "unexplained": list(self.unexplained),
-            "report": self.report.to_json(),
-        }
-
-
-def verify_conjecture(
-    n: int, ell: int, *, report: Optional[ExtremalReport] = None
-) -> ConjectureCheck:
-    """Run (or reuse) a search and classify the extremal graphs.
-
-    Every extremal complement is tested for being a pendant graph; when
-    the modulus is odd the known triangle family is recognized as the
-    expected exception.  Pass a precomputed report to skip re-searching,
-    or to classify a capped, unpruned or parallel search.
-    """
-    if report is None:
-        report = max_size_search(n, ell)
-    elif (report.n, report.ell) != (n, ell):
-        raise ValueError("supplied report is for different parameters")
-
-    triangle_g6 = None
-    if ell % 2 == 1 and n % 2 == 0 and n >= 4:
-        canonical = dedup_isomorphism([triangle_family_graph(n)])[0]
-        triangle_g6 = graph6_encode(canonical)
-
-    pendant_flags: List[Tuple[str, bool]] = []
-    triangle_members: List[str] = []
-    unexplained: List[str] = []
-    for g6 in report.extremal_graphs:
-        g = graph6_decode(g6)
-        pendant, _ = is_pendant_graph(complement(g))
-        pendant_flags.append((g6, pendant))
-        if g6 == triangle_g6:
-            triangle_members.append(g6)
-        elif not pendant:
-            unexplained.append(g6)
-
-    return ConjectureCheck(
-        n=n,
-        ell=ell,
-        max_size=report.max_size,
-        conjectured=report.conjectured,
-        agree=report.agree,
-        pendant_complement=tuple(pendant_flags),
-        all_pendant_complements=all(flag for _, flag in pendant_flags),
-        triangle_family=tuple(triangle_members),
-        unexplained=tuple(unexplained),
-        report=report,
-    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, adjacency_matrix
 from .modular import NormalForm, ZModMatrix, check_modulus, normal_form, solve

@@ -37,8 +37,6 @@ from lightsout.rules import (
     ReductionOutcome,
     RuleDisagreement,
     dominating_reduction,
-    dominating_vertices,
-    extdom_filter,
     extswitch_valid,
     notswin_witness,
     p4_replacement_equiv,
@@ -467,25 +465,32 @@ class TestShiftSubgroupSweep:
         assert calls == [adjacency_matrix(named_graph("path4"), 6)]
 
 
+def complement_has_long_pendant(g: Graph) -> bool:
+    """Whether complement(g) has a pendant vertex outside a 2-vertex component."""
+    gbar = complement(g)
+    return any(
+        gbar.degree(v) == 1 and len(comp) != 2
+        for comp in gbar.components()
+        for v in comp
+    )
+
+
 class TestExtdomFilter:
+    """The extdom rule: a graph with a dominating vertex whose complement
+    has a pendant vertex outside any two-vertex component is never the
+    densest always-winnable graph of its order."""
+
     def test_p3_plus_isolated_excluded(self):
-        gbar = disjoint_union(path_graph(3), Graph(1, [0]))
-        g = complement(gbar)
-        assert dominating_vertices(g)
-        assert extdom_filter(g)
+        g = complement(disjoint_union(path_graph(3), Graph(1, [0])))
+        assert g.degree(3) == g.n - 1
+        assert complement_has_long_pendant(g)
 
     def test_p2_plus_isolated_kept(self):
-        gbar = disjoint_union(path_graph(2), Graph(1, [0]))
-        g = complement(gbar)
-        assert not extdom_filter(g)
-
-    def test_requires_dominating_vertex(self):
-        with pytest.raises(ValueError):
-            extdom_filter(named_graph("matching4"))
+        g = complement(disjoint_union(path_graph(2), Graph(1, [0])))
+        assert not complement_has_long_pendant(g)
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
     def test_excluded_graphs_are_beaten(self, ell):
-        """Anything excluded is never the densest always-winnable graph."""
         for n in (4, 5):
             best = -1
             winners = []
@@ -497,8 +502,8 @@ class TestExtdomFilter:
                     elif m == best:
                         winners.append(g)
             for g in winners:
-                if dominating_vertices(g):
-                    assert not extdom_filter(g), f"{g!r} ell={ell}"
+                if any(g.degree(v) == n - 1 for v in range(n)):
+                    assert not complement_has_long_pendant(g), f"{g!r} ell={ell}"
 
 
 class TestExtswitch:

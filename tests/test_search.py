@@ -46,7 +46,6 @@ from lightsout.search import (
     minimal_coprime_k,
     pendant_lower_bound_witness,
     triangle_family_graph,
-    verify_conjecture,
 )
 
 
@@ -721,47 +720,42 @@ class TestAudits:
         assert "disagree on a winner" in done.stdout
 
 
+def pendant_complement(g6: str) -> bool:
+    return is_pendant_graph(complement(graph6_decode(g6)))[0]
+
+
 class TestVerifyConjecture:
+    """The conjecture's pendant classes, read off max_size_search: every
+    extremal complement is a pendant graph, except the triangle family at
+    odd modulus and the matching complement at odd order."""
+
     def test_even_even_all_pendant(self):
-        check = verify_conjecture(6, 30)
-        assert check.agree
-        assert check.all_pendant_complements
-        assert check.unexplained == ()
-        assert check.triangle_family == ()
+        report = max_size_search(6, 30)
+        assert report.agree
+        assert all(pendant_complement(g6) for g6 in report.extremal_graphs)
 
     def test_odd_modulus_triangle_family_recognized(self):
-        check = verify_conjecture(6, 5)
-        assert check.agree
-        assert not check.all_pendant_complements
-        assert check.triangle_family == (canonical_g6(triangle_family_graph(6)),)
-        assert check.unexplained == ()
+        report = max_size_search(6, 5)
+        triangle = canonical_g6(triangle_family_graph(6))
+        assert report.agree
+        assert triangle in report.extremal_graphs
+        assert not pendant_complement(triangle)
+        others = [g6 for g6 in report.extremal_graphs if g6 != triangle]
+        assert others and all(pendant_complement(g6) for g6 in others)
 
     def test_odd_order_matching_complement_is_not_pendant(self):
         # The near-perfect matching leaves an isolated vertex, so the
         # unique extremal graph at odd order is not a pendant complement.
-        check = verify_conjecture(5, 3)
-        assert check.agree
-        assert not check.all_pendant_complements
-        assert len(check.unexplained) == 1
-
-    def test_supplied_report_reused(self):
-        report = max_size_search(6, 10)
-        check = verify_conjecture(6, 10, report=report)
-        assert check.report is report
-        assert check.max_size == 11
-
-    def test_supplied_report_must_match_parameters(self):
-        report = max_size_search(6, 10)
-        with pytest.raises(ValueError):
-            verify_conjecture(6, 4, report=report)
+        report = max_size_search(5, 3)
+        assert report.agree
+        assert len(report.extremal_graphs) == 1
+        assert not pendant_complement(report.extremal_graphs[0])
 
     def test_json_round_trip(self):
-        check = verify_conjecture(4, 6)
-        blob = json.dumps(check.to_json())
-        back = json.loads(blob)
+        back = json.loads(json.dumps(max_size_search(4, 6).to_json()))
         assert back["max_size"] == 3
         assert back["conjectured"]["rule"] == "even_even"
-        assert back["report"]["extremal_graphs"] == ["CL"]
+        assert back["extremal_graphs"] == ["CL"]
 
 
 class TestTriangleFamilyGraph:

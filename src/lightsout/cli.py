@@ -31,7 +31,7 @@ from .graphs import (
     named_graph,
     neighborhood_matrix,
 )
-from .modular import MAX_ENUMERATED_SOLUTIONS, ZModMatrix, normal_form
+from .modular import MAX_ENUMERATED_SOLUTIONS, ZModMatrix
 from .search import FULL_ENUMERATION_MAX_N, available_cpus, max_size_search
 from .toggling import minimal_nonempty_r, toggling_numbers
 from .verify import run_suite, suite_names
@@ -220,8 +220,7 @@ def cmd_toggling(args: argparse.Namespace) -> int:
         bad = [v for v in subset if not (0 <= v < n)]
         if bad:
             raise UsageError(f"subset vertices out of range: {bad}")
-    nf = normal_form(matrix)
-    coset = toggling_numbers(matrix, subset, args.r, nf=nf)
+    coset = toggling_numbers(matrix, subset, args.r)
     ell = matrix.modulus
     size = 0 if coset.empty else ell // (coset.generator or ell)
     if size > MAX_ENUMERATED_SOLUTIONS:
@@ -241,7 +240,7 @@ def cmd_toggling(args: argparse.Namespace) -> int:
             "base": None if coset.empty else coset.base,
             "generator": None if coset.empty else coset.generator,
             "members": list(coset.members()),
-            "minimal_nonempty_r": minimal_nonempty_r(matrix, subset, nf=nf),
+            "minimal_nonempty_r": minimal_nonempty_r(matrix, subset),
         },
     )
     return 0

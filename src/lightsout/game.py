@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .graphs import Graph, adjacency_matrix, cycle_graph
 from .modular import (
     AuditError,
-    NormalForm,
     ZModMatrix,
     check_modulus,
     is_invertible,
@@ -34,20 +33,18 @@ def apply_toggles(
     return tuple((p + d) % ell for p, d in zip(pi, moved))
 
 
-def winnable(
-    m: ZModMatrix, pi: Sequence[int], nf: Optional[NormalForm] = None
-) -> Optional[Tuple[int, ...]]:
+def winnable(m: ZModMatrix, pi: Sequence[int]) -> Optional[Tuple[int, ...]]:
     """A toggle vector clearing pi, or None when pi cannot be cleared.
 
-    Pass a precomputed NormalForm of m when sweeping many labelings.  The
-    vector is audited once, by solve's check that m x = -pi.
+    The vector is audited once, by solve's check that m x = -pi.  A sweep
+    of labelings on one m diagonalises it once (see normal_form).
     """
     if not m.is_square:
         raise ValueError("game matrix must be square")
     if len(pi) != m.rows:
         raise ValueError(f"labeling length {len(pi)} != rows {m.rows}")
     ell = m.modulus
-    sol = solve(m, [(-p) % ell for p in pi], nf=nf)
+    sol = solve(m, [(-p) % ell for p in pi])
     return None if sol is None else sol.particular
 
 

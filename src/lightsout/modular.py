@@ -14,6 +14,8 @@ alone, as a list of rows, and skips the entries an operation would leave
 unchanged.  It logs its row and column operations instead of carrying
 u_inv and v_inv along, so solve applies them to one vector by replaying a
 log; the full matrices are the same replays on unit vectors, on request.
+normal_form keeps the last matrix it diagonalised with its form, so repeated
+solves on the same or an equal matrix diagonalise it once.
 """
 
 from __future__ import annotations
@@ -325,8 +327,8 @@ class _Reduction:
     that ``fix_chain`` re-diagonalises.  Operations skip entries they would
     leave unchanged: a row addition stops at the source row's last nonzero
     entry, a column operation in ``diagonalize`` touches only the rows
-    whose pivot-column entry is nonzero, and a column swap skips the
-    already-clear rows above both columns.
+    whose pivot-column entry is nonzero, and ``swap_cols`` and ``add_col``
+    skip the already-clear rows above both columns.
     """
 
     def __init__(self, m: ZModMatrix):
@@ -351,9 +353,9 @@ class _Reduction:
         self.col_log.append((i, j, None))
 
     def add_col(self, i: int, j: int, coef: int) -> None:
-        """Column i of D gains coef * column j."""
+        """Column i of D gains coef * column j; rows above both are clear."""
         ell = self.ell
-        for row in self.d:
+        for row in self.d[min(i, j) :]:
             row[i] = (row[i] + coef * row[j]) % ell
         self.col_log.append((i, j, coef))
 
@@ -462,20 +464,31 @@ class _Reduction:
                     changed = True
 
 
+# The last matrix normal_form diagonalised and its form, rebound as one tuple.
+_last: Tuple[Optional[ZModMatrix], Optional[NormalForm]] = (None, None)
+
+
 def normal_form(m: ZModMatrix) -> NormalForm:
     """Diagonalize m as u_inv * m * v_inv = D (mod ell), both invertible.
 
     The pivot rule (smallest nonzero value, ties by row then column) makes
-    the output deterministic for a fixed input.
+    the output deterministic for a fixed input.  The form is kept with its
+    matrix, both immutable, and returned again for the same or an equal m.
     """
+    global _last
+    last_m, last_nf = _last
+    if m is last_m or m == last_m:
+        return last_nf
     work = _Reduction(m)
     work.diagonalize()
     work.fix_chain()
-    return NormalForm(
+    nf = NormalForm(
         D=ZModMatrix._of_rows(work.d, work.c, m.modulus),
         row_log=tuple(work.row_log),
         col_log=tuple(work.col_log),
     )
+    _last = (m, nf)
+    return nf
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -596,27 +609,18 @@ def is_invertible(m: ZModMatrix) -> bool:
     return True
 
 
-def solve(
-    m: ZModMatrix, c: Sequence[int], nf: Optional[NormalForm] = None
-) -> Optional[SolutionSet]:
+def solve(m: ZModMatrix, c: Sequence[int]) -> Optional[SolutionSet]:
     """Solve m x = c (mod ell); None when the system has no solution.
 
     With u_inv M v_inv = D, the system becomes D y = u_inv c with x = v_inv y.
     Each coordinate equation d * y = c' (mod ell) with d | ell is solvable
     iff d | c', contributing y = c'/d and a null generator of order ell/d.
-    Pass a precomputed NormalForm of m to amortize repeated solves; one of
-    another shape or modulus raises ValueError.
+    Repeated solves on the same or an equal m reuse its normal form.
     """
     ell = m.modulus
     if len(c) != m.rows:
         raise ValueError(f"right-hand side length {len(c)} != rows {m.rows}")
-    if nf is None:
-        nf = normal_form(m)
-    elif (nf.D.rows, nf.D.cols, nf.D.modulus) != (m.rows, m.cols, ell):
-        raise ValueError(
-            f"normal form of a {nf.D.rows}x{nf.D.cols} matrix mod {nf.D.modulus}"
-            f" passed for a {m.rows}x{m.cols} matrix mod {ell}"
-        )
+    nf = normal_form(m)
     cp = nf.apply_u_inv(c)
     diag = nf.D.diag()
     y = [0] * m.cols

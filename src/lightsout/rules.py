@@ -24,7 +24,7 @@ from .graphs import (
     neighborhood_matrix,
     path_graph,
 )
-from .modular import AuditError, NormalForm, ZModMatrix, check_modulus, normal_form
+from .modular import AuditError, ZModMatrix, check_modulus, normal_form
 from .toggling import minimal_nonempty_r, toggling_numbers
 
 
@@ -266,9 +266,7 @@ class PendantConditions:
         return self.predicted == self.direct
 
 
-def _unshiftable_labeling(
-    mat: ZModMatrix, nf: NormalForm, r: int
-) -> Optional[Tuple[int, ...]]:
+def _unshiftable_labeling(mat: ZModMatrix, r: int) -> Optional[Tuple[int, ...]]:
     """The first labeling no all-vertex shift clears, or None if none is.
 
     With u_inv * A * v_inv = D and m_i = d_i (ell where d_i = 0), the
@@ -284,7 +282,7 @@ def _unshiftable_labeling(
     u_inv' * e_j for every i.
     """
     ell = mat.modulus
-    if r == math.prod(d or ell for d in nf.D.diag()):
+    if r == math.prod(d or ell for d in normal_form(mat).D.diag()):
         return None
     n = mat.rows
     joined = normal_form(_shift_game(mat))
@@ -306,23 +304,22 @@ def pendantremove_conditions(g: Graph, p: int, ell: int) -> PendantConditions:
     shift r and g0 the generator of the zero-shift toggling set, every z
     has q in <g0> with (r + t) x = z + q solvable, that is
     gcd(g0 or ell, r + t) == 1.  Their conjunction must equal direct
-    neighborhood-AW of the complement, for every n and ell.  The adjacency
-    matrix is diagonalised once for both conditions, and [A | 1] only when
-    condition one fails.
+    neighborhood-AW of the complement, for every n and ell.  Both
+    conditions read one diagonalisation of the adjacency matrix, and
+    [A | 1] is diagonalised only when condition one fails.
     """
     check_modulus(ell)
     _pendant_neighbor(g, p)
     mat = adjacency_matrix(g, ell)
-    nf = normal_form(mat)
-    r = minimal_nonempty_r(mat, range(g.n), nf=nf) or ell
-    t_coset = toggling_numbers(mat, range(g.n), r % ell, nf=nf)
+    r = minimal_nonempty_r(mat, range(g.n)) or ell
+    t_coset = toggling_numbers(mat, range(g.n), r % ell)
     if t_coset.empty:
         raise AuditError("toggling set at the minimal non-empty shift is empty")
     t = t_coset.base
-    # solve's null generators depend only on nf, so every non-empty shift
+    # solve's null generators depend only on mat, so every non-empty shift
     # coset, t_coset included, has the zero-shift generator g0.
     cond_b = math.gcd(t_coset.generator or ell, r + t) == 1
-    witness = _unshiftable_labeling(mat, nf, r)
+    witness = _unshiftable_labeling(mat, r)
     cond_a = witness is None
     predicted = cond_a and cond_b
     direct = is_AW(neighborhood_matrix(complement(g), ell))

@@ -51,7 +51,7 @@ RULE_EVEN_ODD_ELL = "even_n_odd_ell"
 RULE_EVEN_EVEN = "even_even"
 
 PROVEN = "PROVEN"
-CONJECTURED = "CONJECTURED"
+LOWER_BOUND = "LOWER_BOUND"
 
 # Largest order any search accepts: at n = 11 the first complement edge
 # count already has C(55, 5) = 3,478,761 candidates, over
@@ -113,7 +113,9 @@ def conjectured_max(n: int, ell: int) -> ConjecturedMax:
     gcd(n-1, ell) = 1 subtracts n/2; even n with odd ell subtracts
     n/2 + 1; even n with even ell subtracts n/2 + k for the minimal k
     with gcd(n - 2k - 1, ell) = 1.  The first three rules and the last
-    with k <= 3 are settled; k >= 4 is conjectural.
+    with k <= 3 are settled.  For k >= 4 the pendant witness proves only a
+    lower bound (LOWER_BOUND), and larger N-AW graphs beat it at (12, 2310)
+    and (14, 30030).
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"n must be an int, got {type(n).__name__}")
@@ -132,7 +134,7 @@ def conjectured_max(n: int, ell: int) -> ConjecturedMax:
             n, ell, pairs - (n // 2 + 1), RULE_EVEN_ODD_ELL, None, PROVEN
         )
     k = minimal_coprime_k(n, ell)
-    status = PROVEN if k <= 3 else CONJECTURED
+    status = PROVEN if k <= 3 else LOWER_BOUND
     return ConjecturedMax(
         n, ell, pairs - (n // 2 + k), RULE_EVEN_EVEN, k, status
     )

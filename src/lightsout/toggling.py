@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .graphs import Graph, adjacency_matrix
-from .modular import NormalForm, ZModMatrix, check_modulus, normal_form, solve
+from .modular import ZModMatrix, check_modulus, normal_form, solve
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,7 @@ class ToggleCoset:
         )
 
 
-def toggling_numbers(
-    m: ZModMatrix,
-    u_set: Iterable[int],
-    r: int,
-    nf: Optional[NormalForm] = None,
-) -> ToggleCoset:
+def toggling_numbers(m: ZModMatrix, u_set: Iterable[int], r: int) -> ToggleCoset:
     """The coset of U-sums over all clearings of the (U, r) labeling."""
     if not m.is_square:
         raise ValueError("toggling numbers require a square game matrix")
@@ -108,7 +103,7 @@ def toggling_numbers(
     labeling = [0] * m.rows
     for v in u:
         labeling[v] = r % ell
-    sol = solve(m, [(-p) % ell for p in labeling], nf=nf)
+    sol = solve(m, [(-p) % ell for p in labeling])
     if sol is None:
         return ToggleCoset.empty_set(ell)
     base = sum(sol.particular[v] for v in u) % ell
@@ -118,9 +113,7 @@ def toggling_numbers(
     return ToggleCoset(modulus=ell, empty=False, base=base, generator=gen)
 
 
-def minimal_nonempty_r(
-    m: ZModMatrix, u_set: Iterable[int], nf: Optional[NormalForm] = None
-) -> int:
+def minimal_nonempty_r(m: ZModMatrix, u_set: Iterable[int]) -> int:
     """Least r in 1..ell-1 with a non-empty toggling set, else 0.
 
     With u_inv M v_inv = D, the (U, r) labeling clears exactly when
@@ -128,16 +121,15 @@ def minimal_nonempty_r(
     Q = sum_i Z_{m_i}, where m_i is the i-th diagonal entry of D (ell where
     it is 0).  The least such r is the order of w in Q,
     lcm_i m_i / gcd(w_i, m_i), which divides ell.  The 0 return encodes
-    order ell, where only the zero shift is absorbable.  Pass a
-    precomputed NormalForm of m to skip the diagonalisation.
+    order ell, where only the zero shift is absorbable.  It reads the
+    normal form that solve on the same m reuses.
     """
     if not m.is_square:
         raise ValueError("toggling numbers require a square game matrix")
     u = set(u_set)
     if any(not 0 <= v < m.rows for v in u):
         raise ValueError("vertex subset out of range")
-    if nf is None:
-        nf = normal_form(m)
+    nf = normal_form(m)
     ell = m.modulus
     w = nf.apply_u_inv([int(v in u) for v in range(m.rows)])
     order = 1

@@ -41,7 +41,7 @@ from .graphs import (
     neighborhood_matrix,
     path_graph,
 )
-from .modular import ZModMatrix, det_int, normal_form
+from .modular import ZModMatrix, det_int
 from .rules import (
     dominating_reduction,
     p4_replacement_equiv,
@@ -191,10 +191,9 @@ def _image_labelings(m: ZModMatrix) -> set:
 def _suite_oracle(rec: _Recorder, seed: int) -> None:
     for g, ell, matrix in _games(range(1, 5), (2, 3, 4)):
         clearable = _image_labelings(matrix)
-        nf = normal_form(matrix)
         for pi in itertools.product(range(ell), repeat=g.n):
             rec.check(
-                (winnable(matrix, pi, nf=nf) is not None) == (pi in clearable),
+                (winnable(matrix, pi) is not None) == (pi in clearable),
                 lambda: f"solver/brute split on {g!r} mod {ell} at {pi}",
             )
 
@@ -278,9 +277,8 @@ def _suite_lemma_3_4(rec: _Recorder, seed: int) -> None:
     rng = random.Random(seed)
     for g, ell, matrix in _games(range(1, 5), range(2, 7)):
         subset = tuple(v for v in range(g.n) if rng.random() < 0.7) or (0,)
-        nf = normal_form(matrix)
         for u_set in (tuple(range(g.n)), subset):
-            r_min = minimal_nonempty_r(matrix, u_set, nf=nf)
+            r_min = minimal_nonempty_r(matrix, u_set)
             period = r_min if r_min else ell
             rec.check(
                 ell % period == 0,
@@ -288,7 +286,7 @@ def _suite_lemma_3_4(rec: _Recorder, seed: int) -> None:
                 f" {g!r} U={u_set} mod {ell}",
             )
             for s in range(ell):
-                nonempty = not toggling_numbers(matrix, u_set, s, nf=nf).empty
+                nonempty = not toggling_numbers(matrix, u_set, s).empty
                 rec.check(
                     nonempty == (s % period == 0),
                     lambda: f"divisibility biconditional fails:"
@@ -323,9 +321,8 @@ def _some_shift_clears(g: Graph, pi: Tuple[int, ...], ell: int) -> bool:
     """Whether some all-vertex shift of pi clears, by one solve per shift
     (independent of the [A | 1] route that picks the counterexample)."""
     mat = adjacency_matrix(g, ell)
-    nf = normal_form(mat)
     return any(
-        winnable(mat, shift_labeling(pi, range(g.n), s, ell), nf=nf) is not None
+        winnable(mat, shift_labeling(pi, range(g.n), s, ell)) is not None
         for s in range(ell)
     )
 
@@ -534,16 +531,10 @@ def _suite_lemma_4_7(rec: _Recorder, seed: int) -> None:
     for k in range(3, 10):
         for ell in (2, 4, 6):
             matrix = adjacency_matrix(cycle_graph(k), ell)
-            nf = normal_form(matrix)
             for a in range(ell):
                 for b in range(ell):
                     closed = cycle_lambda_winnable(k, a, b, ell)
-                    direct = (
-                        winnable(
-                            matrix, lambda_labeling(k, a, b, ell), nf=nf
-                        )
-                        is not None
-                    )
+                    direct = winnable(matrix, lambda_labeling(k, a, b, ell)) is not None
                     rec.check(
                         closed == direct,
                         lambda: f"cycle closed form: k={k} (a,b)=({a},{b})"
@@ -555,7 +546,6 @@ def _suite_lemma_4_8(rec: _Recorder, seed: int) -> None:
     for k in range(3, 10):
         for ell in (2, 4, 6):
             matrix = adjacency_matrix(cycle_graph(k), ell)
-            nf = normal_form(matrix)
             for a, b, s in itertools.product(range(ell), repeat=3):
                 try:
                     ap, bp = cycle_shift_canonical(k, a, b, s, ell)
@@ -565,11 +555,8 @@ def _suite_lemma_4_8(rec: _Recorder, seed: int) -> None:
                 shifted = shift_labeling(
                     lambda_labeling(k, a, b, ell), range(k), s, ell
                 )
-                lhs = winnable(matrix, shifted, nf=nf) is not None
-                rhs = (
-                    winnable(matrix, lambda_labeling(k, ap, bp, ell), nf=nf)
-                    is not None
-                )
+                lhs = winnable(matrix, shifted) is not None
+                rhs = winnable(matrix, lambda_labeling(k, ap, bp, ell)) is not None
                 rec.check(
                     lhs == rhs,
                     lambda: f"shift transport: k={k} (a,b,s)=({a},{b},{s})"

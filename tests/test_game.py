@@ -10,6 +10,7 @@ import time
 import pytest
 
 import lightsout.game as game_mod
+import lightsout.modular as modular_mod
 from lightsout.game import (
     apply_toggles,
     cycle_lambda_winnable,
@@ -99,18 +100,16 @@ class TestWinnable:
     @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
     def test_path4_every_labeling(self, ell):
         m = neighborhood_matrix(named_graph("path4"), ell)
-        nf = normal_form(m)
         for pi in itertools.product(range(ell), repeat=4):
-            assert winnable(m, pi, nf=nf) is not None
+            assert winnable(m, pi) is not None
 
     @pytest.mark.parametrize("ell", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_agrees_with_brute_force_exhaustively(self, ell, n):
         for g in all_graphs(n):
             for m in (neighborhood_matrix(g, ell), adjacency_matrix(g, ell)):
-                nf = normal_form(m)
                 for pi in itertools.product(range(ell), repeat=n):
-                    got = winnable(m, pi, nf=nf) is not None
+                    got = winnable(m, pi) is not None
                     assert got == brute_winnable(m, pi), f"{g!r} pi={pi}"
 
     def test_agrees_with_brute_force_sampled_n4(self):
@@ -121,9 +120,8 @@ class TestWinnable:
             m = rng.choice(
                 [neighborhood_matrix(g, ell), adjacency_matrix(g, ell)]
             )
-            nf = normal_form(m)
             for pi in itertools.product(range(ell), repeat=4):
-                got = winnable(m, pi, nf=nf) is not None
+                got = winnable(m, pi) is not None
                 assert got == brute_winnable(m, pi)
 
     def test_disconnected_iff_all_components(self):
@@ -139,15 +137,16 @@ class TestWinnable:
             right = winnable(neighborhood_matrix(g2, ell), pi[g1.n :]) is not None
             assert whole == (left and right)
 
-    def test_corrupted_normal_form_fails_solve_check(self):
+    def test_corrupted_normal_form_fails_solve_check(self, monkeypatch):
         # A zero scale of row 0 logged first makes u_inv drop the only
         # nonzero label, so the particular solution is 0, which does not
         # clear the labeling; solve's audit must catch it.
         m = neighborhood_matrix(named_graph("path4"), 3)
         nf = normal_form(m)
         bad = dataclasses.replace(nf, row_log=((0, 0, 0),) + nf.row_log)
+        monkeypatch.setattr(modular_mod, "normal_form", lambda _: bad)
         with pytest.raises(AuditError, match="particular solution failed check"):
-            winnable(m, (1, 0, 0, 0), nf=bad)
+            winnable(m, (1, 0, 0, 0))
 
 
 class TestIsAW:
@@ -229,11 +228,10 @@ class TestCycleLambdaWinnable:
     @pytest.mark.parametrize("k", range(3, 10))
     def test_matches_generic_solver(self, k, ell):
         mat = adjacency_matrix(cycle_graph(k), ell)
-        nf = normal_form(mat)
         for a in range(ell):
             for b in range(ell):
                 closed = cycle_lambda_winnable(k, a, b, ell)
-                direct = winnable(mat, lambda_labeling(k, a, b, ell), nf=nf)
+                direct = winnable(mat, lambda_labeling(k, a, b, ell))
                 assert closed == (direct is not None), f"k={k} a={a} b={b} ell={ell}"
 
 
@@ -262,18 +260,17 @@ class TestCycleShiftCanonical:
     def test_winnability_transported(self, k, ell):
         """Shifted labeling and its reduction clear under the same toggles."""
         mat = adjacency_matrix(cycle_graph(k), ell)
-        nf = normal_form(mat)
         for a, b, s in itertools.product(range(ell), repeat=3):
             ap, bp = cycle_shift_canonical(k, a, b, s, ell)
             shifted = shift_labeling(
                 lambda_labeling(k, a, b, ell), range(k), s, ell
             )
-            lhs = winnable(mat, shifted, nf=nf) is not None
-            rhs = winnable(mat, lambda_labeling(k, ap, bp, ell), nf=nf) is not None
+            lhs = winnable(mat, shifted) is not None
+            rhs = winnable(mat, lambda_labeling(k, ap, bp, ell)) is not None
             assert lhs == rhs
 
     def test_unreachable_reduction_raises_audit_error(self, monkeypatch):
-        monkeypatch.setattr(game_mod, "solve", lambda m, c, nf=None: None)
+        monkeypatch.setattr(game_mod, "solve", lambda m, c: None)
         with pytest.raises(AuditError, match="not toggle-reachable"):
             cycle_shift_canonical(6, 1, 1, 2, 4)
 
@@ -281,9 +278,8 @@ class TestCycleShiftCanonical:
 def shift_loop(g: Graph, pi, ell: int):
     """Reference: the least s whose all-vertex shift clears, one solve each."""
     mat = adjacency_matrix(g, ell)
-    nf = normal_form(mat)
     for s in range(ell):
-        if winnable(mat, shift_labeling(pi, range(g.n), s, ell), nf=nf) is not None:
+        if winnable(mat, shift_labeling(pi, range(g.n), s, ell)) is not None:
             return s
     return None
 

@@ -10,14 +10,18 @@ identical solution sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import List, Optional, Tuple
 
 import pytest
 
+import lightsout.modular as modular_mod
+from lightsout.game import winnable
 from lightsout.graphs import Graph, adjacency_matrix, neighborhood_matrix
 from lightsout.modular import ZModMatrix, normal_form, solve, unit_lift
+from test_modular import DIFFERENTIAL_MODULI, differential_corpus
 
 MODULI = [2, 3, 4, 6, 8, 9, 12, 30, 97, 210, 2**31 - 1]
 
@@ -374,3 +378,67 @@ class TestLogReplay:
             nf.apply_u_inv([1, 2, 3])
         with pytest.raises(ValueError):
             nf.apply_v_inv([1, 2])
+
+
+class TestMemoMatchesReference:
+    """solve and winnable through normal_form's one-matrix memo against
+    ref_solve: on a cold memo, on the warm memo, after another matrix has
+    replaced it, and on an equal copy that is another object."""
+
+    @staticmethod
+    def check_states(m: ZModMatrix, c, fresh_memo) -> None:
+        # Same shape and modulus, one entry off, so only the entries tell
+        # it from m.
+        rows = m.to_rows() or [[0]]
+        rows[-1][-1] += 1
+        other = ZModMatrix.from_rows(rows, m.modulus)
+        want = ref_solve(m, c)
+        pi = [-x for x in c]
+        copy = ZModMatrix.from_rows(m.to_rows(), m.modulus)
+
+        def check(mat: ZModMatrix) -> None:
+            got = solve(mat, c)
+            assert (got and (got.particular, got.null_generators)) == want, (mat, c)
+            assert winnable(mat, pi) == (want and want[0]), (mat, pi)
+
+        fresh_memo()
+        check(m)
+        assert modular_mod._last[0] is m
+        check(m)
+        solve(other, [0] * other.rows)
+        assert modular_mod._last[0] is other
+        check(m)
+        check(copy)
+        # The equal copy was served the stored form of m.
+        assert modular_mod._last[0] is m
+
+    @pytest.mark.parametrize("ell", DIFFERENTIAL_MODULI)
+    def test_differential_corpus(self, ell, fresh_memo):
+        rng = random.Random(500 + ell)
+        for n in range(9):
+            for m in differential_corpus(rng, n, ell):
+                if rng.random() < 0.5:
+                    # A consistent right-hand side, so generators get compared.
+                    c = m.mul_vec([rng.randrange(ell) for _ in range(n)])
+                else:
+                    c = [rng.randrange(ell) for _ in range(n)]
+                self.check_states(m, c, fresh_memo)
+
+    @pytest.mark.parametrize("ell", [2, 3, 6, 30])
+    def test_grids(self, ell, fresh_memo):
+        rng = random.Random(600 + ell)
+        for k in range(2, 11):
+            n = k * k
+            for m in (grid_matrix(k, ell), adjacency_matrix(grid_graph(k), ell)):
+                c = m.mul_vec([rng.randrange(ell) for _ in range(n)])
+                self.check_states(m, c, fresh_memo)
+
+
+def test_labeling_sweep_diagonalises_once(reductions):
+    # All 81 labelings of a 4x4 game mod 3, alternating between the matrix
+    # and an equal copy, as a suite does when a helper rebuilds the matrix.
+    m = grid_matrix(2, 3)
+    copy = grid_matrix(2, 3)
+    for i, pi in enumerate(itertools.product(range(3), repeat=4)):
+        winnable(copy if i % 2 else m, pi)
+    assert reductions == [m]

@@ -16,7 +16,6 @@ from functools import lru_cache
 import pytest
 
 import lightsout
-import lightsout.modular as modular_mod
 import lightsout.rules as rules_mod
 import lightsout.toggling as toggling_mod
 from lightsout.game import exists_shift_winnable, is_AW
@@ -226,7 +225,7 @@ class TestSubsetjoinaw:
             subsetjoinaw_check(named_graph("cycle5"), 5)
 
     def test_non_singleton_toggling_set_raises(self, monkeypatch):
-        def two_members(m, u_set, r, nf=None):
+        def two_members(m, u_set, r):
             return ToggleCoset(modulus=m.modulus, empty=False, base=0, generator=2)
 
         monkeypatch.setattr(rules_mod, "toggling_numbers", two_members)
@@ -314,7 +313,7 @@ class TestPendantRemoveConditions:
         assert (res.counterexample is None) == covered
 
     def test_empty_toggling_set_raises(self, monkeypatch):
-        def empty(m, u_set, r, nf=None):
+        def empty(m, u_set, r):
             return ToggleCoset.empty_set(m.modulus)
 
         monkeypatch.setattr(rules_mod, "toggling_numbers", empty)
@@ -350,12 +349,10 @@ def reference_shift_sweep(nf, ell):
     return None
 
 
-def reference_congruence(mat, nf, r, t):
+def reference_congruence(mat, r, t):
     """Oracle: condition two by the sweep over z and the null-sum members."""
     ell = mat.modulus
-    null_sums = toggling_mod.toggling_numbers(
-        mat, range(mat.rows), 0, nf=nf
-    ).members()
+    null_sums = toggling_mod.toggling_numbers(mat, range(mat.rows), 0).members()
     coeff_gcd = math.gcd(r + t, ell)
     return all(
         any((z + q) % coeff_gcd == 0 for q in null_sums) for z in range(ell)
@@ -363,12 +360,12 @@ def reference_congruence(mat, nf, r, t):
 
 
 def shift_cover(g, ell):
-    """(mat, nf, r, t, counterexample) as pendantremove_conditions has them."""
+    """(mat, nf, r, t, counterexample) as pendantremove_conditions has them,
+    with nf the normal form of mat for the reference sweep."""
     mat = adjacency_matrix(g, ell)
-    nf = normal_form(mat)
-    r = toggling_mod.minimal_nonempty_r(mat, range(g.n), nf=nf) or ell
-    t = toggling_mod.toggling_numbers(mat, range(g.n), r % ell, nf=nf).base
-    return mat, nf, r, t, rules_mod._unshiftable_labeling(mat, nf, r)
+    r = toggling_mod.minimal_nonempty_r(mat, range(g.n)) or ell
+    t = toggling_mod.toggling_numbers(mat, range(g.n), r % ell).base
+    return mat, normal_form(mat), r, t, rules_mod._unshiftable_labeling(mat, r)
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +419,7 @@ class TestShiftSubgroupSweep:
                     res = pendantremove_conditions(g, leaves[0], ell)
                     assert (res.r, res.t, res.counterexample) == (r, t, got)
                     assert res.coefficient_congruence_solvable == (
-                        reference_congruence(mat, nf, r, t)
+                        reference_congruence(mat, r, t)
                     ), f"{g!r} mod {ell}"
                     pendant += 1
         assert compared == 1 + 2 + 8 + 64 + 1024
@@ -446,23 +443,15 @@ class TestShiftSubgroupSweep:
         # subgroup, but every labeling is clearable, so no unit vector can
         # back the verdict.
         monkeypatch.setattr(
-            rules_mod, "minimal_nonempty_r", lambda m, u_set, nf=None: 2
+            rules_mod, "minimal_nonempty_r", lambda m, u_set: 2
         )
         with pytest.raises(AuditError, match="shift subgroup"):
             pendantremove_conditions(named_graph("path4"), 0, 4)
 
-    def test_conditions_diagonalise_the_game_once(self, monkeypatch):
-        calls = []
-
-        def counting(m):
-            calls.append(m)
-            return normal_form(m)
-
-        for module in (rules_mod, toggling_mod, modular_mod):
-            monkeypatch.setattr(module, "normal_form", counting)
+    def test_conditions_diagonalise_the_game_once(self, reductions):
         res = pendantremove_conditions(named_graph("path4"), 0, 6)
-        assert res.agree
-        assert calls == [adjacency_matrix(named_graph("path4"), 6)]
+        assert res.agree and res.shifts_cover_all_labelings
+        assert reductions == [adjacency_matrix(named_graph("path4"), 6)]
 
 
 def complement_has_long_pendant(g: Graph) -> bool:

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 import lightsout
 import lightsout.search as search_mod
+from lightsout.game import is_AW
 from lightsout.graphs import (
     Graph,
     complement,
+    complete_graph,
     corona_pendant,
     cycle_graph,
     disjoint_union,
@@ -34,9 +36,9 @@ from lightsout.graphs import (
     path_graph,
     star_graph,
 )
-from lightsout.modular import AuditError, ZModMatrix, det_int, is_invertible
+from lightsout.modular import AuditError, ZModMatrix, det_int, is_invertible, normal_form
 from lightsout.search import (
-    CONJECTURED,
+    LOWER_BOUND,
     PROVEN,
     ConjecturedMax,
     canonical_adjacency_bits,
@@ -109,7 +111,28 @@ class TestConjecturedMax:
     def test_even_even_offset_four_is_conjectural(self):
         # gcd(9,210)=3, gcd(7,210)=7, gcd(5,210)=5, gcd(3,210)=3, gcd(1,210)=1
         got = conjectured_max(10, 210)
-        assert (got.size, got.k, got.status) == (36, 4, CONJECTURED)
+        assert (got.size, got.k, got.status) == (36, 4, LOWER_BOUND)
+
+    @pytest.mark.parametrize(
+        "n, ell, base, edges, det",
+        [
+            # U8 + 2K2, where U8 is the 8-vertex graph GtOI?C.
+            (12, 2310, disjoint_union(graph6_decode("GtOI?C"), matching_graph(4)), 56, -13),
+            (14, 30030, disjoint_union(complete_graph(4), matching_graph(10)), 80, -31),
+        ],
+        ids=["12-2310", "14-30030"],
+    )
+    def test_offset_four_or_more_is_beaten(self, n, ell, base, edges, det):
+        # The complement of base beats the pendant witness's size, and the
+        # determinant, the diagonal and is_AW each certify it N-AW.
+        got = conjectured_max(n, ell)
+        assert got.k >= 4 and got.status == LOWER_BOUND
+        g = complement(base)
+        assert (g.n, g.num_edges()) == (n, edges) and edges > got.size
+        m = neighborhood_matrix(g, ell)
+        assert det_int(m.to_rows()) == det and math.gcd(det, ell) == 1
+        assert all(math.gcd(d, ell) == 1 for d in normal_form(m).D.diag())
+        assert is_AW(m)
 
     @pytest.mark.parametrize("n,ell", [(1, 2), (0, 3), (-2, 2)])
     def test_small_order_rejected(self, n, ell):

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import lightsout.modular as modular_mod
 from lightsout.graphs import (
     Graph,
     adjacency_matrix,
@@ -16,7 +17,7 @@ from lightsout.graphs import (
     named_graph,
     neighborhood_matrix,
 )
-from lightsout.modular import ZModMatrix, normal_form
+from lightsout.modular import ZModMatrix
 from lightsout.toggling import (
     ToggleCoset,
     compose_components,
@@ -38,11 +39,11 @@ def brute_toggling(m: ZModMatrix, u, r) -> set:
     return sums
 
 
-def reference_minimal_nonempty_r(m: ZModMatrix, u, nf) -> int:
+def reference_minimal_nonempty_r(m: ZModMatrix, u) -> int:
     """Least r in 1..ell-1 with a non-empty toggling set, found by trying
     each r in turn (the loop minimal_nonempty_r replaced); else 0."""
     for r in range(1, m.modulus):
-        if not toggling_numbers(m, u, r, nf=nf).empty:
+        if not toggling_numbers(m, u, r).empty:
             return r
     return 0
 
@@ -198,16 +199,18 @@ class TestMinimalNonemptyR:
                 )
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 6, 8, 9, 12, 30])
-    def test_precomputed_normal_form_gives_same_r(self, ell):
+    def test_precomputed_normal_form_gives_same_r(self, ell, fresh_memo):
+        # A cold memo, then the form the first call stored for m.
         rng = random.Random(110 + ell)
         for _ in range(25):
             n = rng.randrange(1, 6)
             entries = [rng.randrange(ell) for _ in range(n * n)]
             m = ZModMatrix(n, n, ell, entries)
             u = [v for v in range(n) if rng.random() < 0.6]
-            assert minimal_nonempty_r(m, u, nf=normal_form(m)) == (
-                minimal_nonempty_r(m, u)
-            )
+            fresh_memo()
+            cold = minimal_nonempty_r(m, u)
+            assert modular_mod._last[0] is m
+            assert minimal_nonempty_r(m, u) == cold
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 6, 8, 9, 12, 30, 210])
     def test_order_matches_reference_on_every_subset(self, ell):
@@ -215,11 +218,10 @@ class TestMinimalNonemptyR:
         for trial in range(15):
             n = rng.randrange(1, 6)
             m = random_square_matrix(rng, n, ell)
-            nf = normal_form(m)
             for size in range(n + 1):
                 for u in itertools.combinations(range(n), size):
-                    assert minimal_nonempty_r(m, u, nf=nf) == (
-                        reference_minimal_nonempty_r(m, u, nf)
+                    assert minimal_nonempty_r(m, u) == (
+                        reference_minimal_nonempty_r(m, u)
                     ), (trial, m.to_rows(), u)
 
     @pytest.mark.parametrize("ell", [2, 4, 6, 12])
@@ -228,11 +230,10 @@ class TestMinimalNonemptyR:
         for _ in range(6):
             g = random_graph(rng, rng.randrange(1, 6))
             for m in (adjacency_matrix(g, ell), neighborhood_matrix(g, ell)):
-                nf = normal_form(m)
                 for size in range(g.n + 1):
                     for u in itertools.combinations(range(g.n), size):
-                        assert minimal_nonempty_r(m, u, nf=nf) == (
-                            reference_minimal_nonempty_r(m, u, nf)
+                        assert minimal_nonempty_r(m, u) == (
+                            reference_minimal_nonempty_r(m, u)
                         ), (g, u)
 
     def test_input_checks(self):
@@ -274,10 +275,9 @@ class TestCosetStructure:
             for bits in range(1 << len(pairs)):
                 edges = [p for j, p in enumerate(pairs) if bits >> j & 1]
                 m = adjacency_matrix(Graph.from_edges(n, edges), ell)
-                nf = normal_form(m)
-                g0 = toggling_numbers(m, range(n), 0, nf=nf).generator
+                g0 = toggling_numbers(m, range(n), 0).generator
                 for r in range(1, ell):
-                    tr = toggling_numbers(m, range(n), r, nf=nf)
+                    tr = toggling_numbers(m, range(n), r)
                     assert tr.empty or tr.generator == g0, f"{edges} mod {ell}"
 
     def test_subgroup_closed_under_negation(self):

@@ -32,7 +32,7 @@ from .graphs import (
     neighborhood_matrix,
 )
 from .modular import MAX_ENUMERATED_SOLUTIONS, ZModMatrix
-from .search import FULL_ENUMERATION_MAX_N, available_cpus, max_size_search
+from .search import FULL_ENUMERATION_MAX_N, max_size_search
 from .toggling import minimal_nonempty_r, toggling_numbers
 from .verify import run_suite, suite_names
 
@@ -255,12 +255,6 @@ def cmd_maxsize(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"{JOBS_ENV_VAR}={raw!r} is not an integer")
     _note(f"searching n={args.n} mod {args.modulus} with {jobs} job(s)")
-    cpus = available_cpus()
-    if jobs > cpus:
-        _note(
-            f"--jobs {jobs} exceeds the {cpus} CPU(s);"
-            f" at most {cpus} worker(s) will run"
-        )
     inputs = {
         "n": args.n,
         "modulus": args.modulus,
@@ -384,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument(
         "--jobs",
         type=int,
-        help=f"worker processes (default ${JOBS_ENV_VAR} or 1)",
+        help=f"accepted for compatibility, no effect (default ${JOBS_ENV_VAR} or 1)",
     )
     mx.add_argument("--csv", help="append an n,modulus,max,count row here")
     mx.set_defaults(func=cmd_maxsize)

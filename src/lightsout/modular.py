@@ -441,15 +441,24 @@ class _Reduction:
         Zeros swap to the end.  For a not dividing b, adding column k+1 to
         column k makes the block [[a, 0], [b, b]], and ``diagonalize`` on
         it leaves gcd(a, b) at k.
+
+        Each step maps (a, b) to (gcd(a, b), lcm(a, b)) on divisors of ell,
+        with 0 above every divisor: a compare-exchange of every prime
+        exponent at once.  A pass over k is then one bubble-sort pass of
+        each exponent sequence, so no pass after the max(size, 1)-th can
+        change anything, and one that does raises AuditError.
         """
         size = min(self.r, self.c)
         for k in range(size):
             if self.d[k][k]:
                 self.scale_diag_to_gcd(k)
         # Zeros (annihilating everything) sort to the end of the chain.
-        changed = True
+        changed, passes = True, 0
         while changed:
+            if passes > max(size, 1):
+                raise AuditError(f"chain fix still changing after {passes} passes")
             changed = False
+            passes += 1
             for k in range(size - 1):
                 a, b = self.d[k][k], self.d[k + 1][k + 1]
                 if a == 0 and b != 0:

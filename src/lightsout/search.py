@@ -8,29 +8,28 @@ increasing order and stopping at the first count that admits an N-AW
 complement therefore finds the maximum and every labeled graph achieving
 it.
 
-The complements with e edges are walked depth first over the pair
-indices, one chunk per lexicographically least edge.  The walk drops
-every branch whose candidates all have two vertices of equal neighborhood
-in B (twins in G, so J - B has equal rows) or, when the Lemma 4.6 degree
-cap applies, a degree above it (see _scan_chunk for the three rules).
-Every twin-free candidate it reaches is tested with the exact integer
-determinant of G's neighborhood matrix J - B, factored over the
-components of B by the matrix determinant lemma (see _complement_det).
-The components are small and repeat across candidates, so their terms
-are memoised.  The surviving canonical representatives are re-verified
-through the diagonalization route, so the two invertibility criteria
-still audit each other.  The chunks' winners are merged as a sorted set,
-so the result is independent of worker count and scheduling.
+An edge count is decided from component types, not labeled complements.
+By the matrix determinant lemma, det(J - B) for G's neighborhood matrix
+depends only on the multiset of the terms (det(-C), det(J - C) - det(-C))
+of B's components C (see _union_det), and apart from copies of K2 and at
+most one isolated vertex those components come from a finite set of
+connected graphs that the edge count bounds.  Those types are generated
+once from free trees and cached; each multiset of them is tested once,
+and each winning multiset is laid out and closed under relabeling, so the
+scan still returns every labeled winner (see _scan_edge_count).  The
+surviving canonical representatives are re-verified through the
+diagonalization route, so the two invertibility criteria still audit each
+other.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .graphs import (
     Graph,
@@ -59,12 +58,11 @@ LOWER_BOUND = "LOWER_BOUND"
 # asymmetric graph has n! relabelings.
 FULL_ENUMERATION_MAX_N = 10
 
-# Most candidate complements one edge count may have before the scan
-# refuses it; within FULL_ENUMERATION_MAX_N that is n = 10 with e >= 6.
-# One process tests 57k-1.5M candidates/s (Python 3.11, one core of a
-# 2-vCPU VM: 57k-62k/s at (8, 210) e = 7, where most candidates the walk
-# reaches need a determinant; 1.47M/s at (10, 210) e = 6, where it drops
-# most branches), so an accepted edge count takes at most about 35 s.
+# Most candidate complements, C(C(n, 2), e), one edge count may have
+# before the search refuses it; within FULL_ENUMERATION_MAX_N that is
+# n = 10 with e >= 6.  The scan visits no candidates, but the labeled
+# winners it expands and _canonical_reps_of_closed_set walks are a subset
+# of them, so the limit bounds both.
 MAX_SCAN_CANDIDATES = 2_000_000
 
 
@@ -161,8 +159,13 @@ def _pairs(n: int) -> List[Tuple[int, int]]:
 
 
 Edges = Tuple[Tuple[int, int], ...]
-# (k, local edges) of a component -> [d, s], s filled in on first need.
-ComponentMemo = Dict[Tuple[int, Edges], List[Optional[int]]]
+
+# Free trees on k vertices at index k - 1, grown on demand by _free_trees.
+_FREE_TREES: List[List[Edges]] = []
+# (k, m) -> {(d, s): [(edges, largest degree), ...]}: connected graphs on
+# k vertices with m edges, at least one labeled graph per isomorphism
+# class, filled on demand by _cell.
+_CELLS: Dict[Tuple[int, int], Dict[Tuple[int, int], List[Tuple[Edges, int]]]] = {}
 
 
 def _shifted_rows(k: int, edges: Sequence[Tuple[int, int]], t: int) -> List[List[int]]:
@@ -173,191 +176,174 @@ def _shifted_rows(k: int, edges: Sequence[Tuple[int, int]], t: int) -> List[List
     return rows
 
 
-def _component_s(
-    key: Optional[Tuple[int, Edges]], terms: List[Optional[int]]
-) -> int:
-    """s = 1^T adj(-C) 1 = det(J - C) - det(-C), by the determinant lemma."""
-    if terms[1] is None:
-        terms[1] = det_int(_shifted_rows(*key, 1)) - terms[0]
-    return terms[1]
+def _tree_code(k: int, edges: Edges) -> str:
+    """AHU code of a free tree rooted at its centre, the lesser of two.
 
-
-def _complement_det(
-    n: int, edges: Sequence[Tuple[int, int]], memo: ComponentMemo
-) -> int:
-    """det(J - B) for the complement B on n vertices with the given edges.
-
-    edges must be (u, v) pairs with u < v in lexicographic order.  With
-    d_i = det(-C_i) and s_i = 1^T adj(-C_i) 1 over the components C_i of B,
-    the matrix determinant lemma gives
-
-        det(J - B) = prod_i d_i + sum_i s_i prod_{j != i} d_j,
-
-    so two components with d_i = 0 make it 0, and with one such component
-    only its s_i is needed.  Each component is relabeled to 0..k-1 in
-    vertex order and memoised under (k, local edges), d_i on first sight
-    and s_i on first need; an isolated vertex has (d, s) = (0, 1).  A B
-    connected on all n vertices (a spanning tree at e = n - 1) rarely
-    repeats, so it gets one direct det_int and no memo entry.
+    Two trees get equal codes exactly when they are isomorphic.
     """
-    # Union-find that always hangs the larger root under the smaller, so a
-    # vertex's parent never exceeds it and one ascending pass flattens it.
-    root = list(range(n))
+    adj: List[List[int]] = [[] for _ in range(k)]
     for u, v in edges:
-        while root[u] != u:
-            u = root[u]
-        while root[v] != v:
-            v = root[v]
-        if u < v:
-            root[v] = u
-        elif v < u:
-            root[u] = v
-    for x in range(n):
-        root[x] = root[root[x]]
-    if not any(root):
-        return det_int(_shifted_rows(n, edges, 1))
-    members: Dict[int, List[int]] = {}
-    for x in range(n):
-        members.setdefault(root[x], []).append(x)
-    component_edges: Dict[int, List[Tuple[int, int]]] = {}
-    for u, v in edges:
-        component_edges.setdefault(root[u], []).append((u, v))
-    parts: List[Tuple[Tuple[int, Edges], List[Optional[int]]]] = []
-    prod = 1  # product of the nonzero d_i
-    zero = None  # the one part with d_i = 0, if any
-    for r, verts in members.items():
-        if len(verts) == 1:
-            key, terms = None, [0, 1]
-        else:
-            local = {x: i for i, x in enumerate(verts)}
-            local_edges = [(local[u], local[v]) for u, v in component_edges[r]]
-            key = (len(verts), tuple(local_edges))
-            terms = memo.get(key)
-            if terms is None:
-                terms = memo[key] = [det_int(_shifted_rows(*key, 0)), None]
-        if terms[0]:
-            prod *= terms[0]
-            parts.append((key, terms))
-        elif zero is None:
-            zero = (key, terms)
-        else:
-            return 0
-    if zero is not None:
-        return _component_s(*zero) * prod
-    return prod + sum(_component_s(*part) * (prod // part[1][0]) for part in parts)
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(a) for a in adj]
+    layer = [v for v in range(k) if degree[v] <= 1]
+    left = k
+    while left > 2:  # strip the leaves until the centre is left
+        left -= len(layer)
+        inner = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    inner.append(w)
+        layer = inner
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(c, -1) for c in layer)
 
 
-def _scan_chunk(args: Tuple[int, int, int, int, bool]) -> List[int]:
-    """Test the complements whose least edge is pairs[first]; return winners.
+def _free_trees(k: int) -> List[Edges]:
+    """One tree on vertices 0..k-1 per isomorphism class, k >= 1.
 
-    The candidates are the e-edge complements made of pairs[first] and
-    e - 1 later pairs.  Each mask packs the complement's pair indicators
-    with pair (0,1) most significant, matching Graph.adjacency_bits.  A
-    candidate wins when the complementary graph's neighborhood matrix
-    J - B has determinant coprime to the modulus.  Two vertices with the
-    same neighborhood in B have the same closed neighborhood in G, so
-    J - B has two equal rows and determinant 0; such candidates get no
-    determinant.
-
-    The candidates are walked depth first, adding pairs in increasing
-    index order while each vertex's neighborhood bitmask is kept up to
-    date.  A branch is dropped when one of three rules shows that none of
-    its candidates can pass the test at its leaves:
-
-    1. Settled twins.  When the next pair is (u, v), no later pair touches
-       a vertex below u, so two such vertices with equal neighborhoods stay
-       twins; the loop over the next pair stops, since a larger u settles
-       more vertices.
-    2. Forced isolation.  Each pair still to place covers at most two
-       vertices of degree 0, so when the degree-0 vertices outnumber twice
-       the pairs still to place by two or more, two of them stay isolated,
-       and isolated vertices are twins.
-    3. Degree cap.  When prune applies (n even and t = e - n/2 >= 1), a pair
-       that would lift a degree above t + 1 (Lemma 4.6) is skipped; degrees
-       only grow along a branch.
-
-    Each surviving candidate gets the full twin test, then _complement_det,
-    whose component memo lives for this call only, so results cannot depend
-    on how chunks are split among workers.  max_size_search still audits
-    the survivors through normal_form.
+    Each tree on k vertices is a tree on k - 1 vertices with a leaf k - 1
+    attached, and the AHU code drops repeats.
     """
-    n, ell, e, first, prune = args
-    pairs = _pairs(n)
-    npairs = len(pairs)
-    t = e - n // 2
-    # No degree reaches n, so without the cap no pair is skipped.
-    cap = t + 1 if prune and n % 2 == 0 and t >= 1 else n
-    winners: List[int] = []
-    memo: ComponentMemo = {}
-    nbrs = [0] * n  # a vertex's degree is the bit count of its mask
-    edges: List[Tuple[int, int]] = []  # the branch so far, in index order
-
-    def walk(ks: Iterable[int], left: int, mask: int) -> None:
-        """Extend the branch by pairs[k] for each k in ks in turn.
-
-        left counts the pairs still to place, pairs[k] included.
-        """
-        settled = -1
-        for k in ks:
-            u, v = pairs[k]
-            if u != settled:
-                settled = u
-                if len(set(nbrs[:u])) < u:  # rule 1
-                    break
-            if nbrs[u].bit_count() == cap or nbrs[v].bit_count() == cap:  # rule 3
-                continue
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
-            edges.append(pairs[k])
-            branch = mask | 1 << (npairs - 1 - k)
-            if left == 1:
-                if (
-                    len(set(nbrs)) == n
-                    and math.gcd(_complement_det(n, edges, memo) % ell, ell) == 1
-                ):
-                    winners.append(branch)
-            elif nbrs.count(0) - 2 * (left - 1) < 2:  # rule 2
-                walk(range(k + 1, npairs - left + 2), left - 1, branch)
-            edges.pop()
-            nbrs[u] ^= 1 << v
-            nbrs[v] ^= 1 << u
-
-    walk(range(first, first + 1), e, 0)  # the root offers pairs[first] alone
-    return winners
+    if not _FREE_TREES:
+        _FREE_TREES.append([()])
+    while len(_FREE_TREES) < k:
+        order = len(_FREE_TREES) + 1
+        grown: Dict[str, Edges] = {}
+        for tree in _FREE_TREES[-1]:
+            for v in range(order - 1):
+                edges = tree + ((v, order - 1),)
+                grown.setdefault(_tree_code(order, edges), edges)
+        _FREE_TREES.append(list(grown.values()))
+    return _FREE_TREES[k - 1]
 
 
-def available_cpus() -> int:
-    """CPUs this process may run on, from its affinity mask where there is one.
+def _component_terms(k: int, edges: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """(d, s) = (det(-C), det(J - C) - det(-C)) for the graph C on 0..k-1."""
+    d = det_int(_shifted_rows(k, edges, 0))
+    return d, det_int(_shifted_rows(k, edges, 1)) - d
 
-    os.cpu_count() counts the host's CPUs, which overstates the share of a
-    process confined by taskset or a cpuset.
+
+def _cell(k: int, m: int) -> Dict[Tuple[int, int], List[Tuple[Edges, int]]]:
+    """Connected graphs on k vertices with m >= k - 1 edges, by (d, s).
+
+    Every such graph has a spanning tree, so adding each set of m - k + 1
+    pairs to each free tree reaches every isomorphism class; repeats are
+    harmless, since a graph and its relabelings share (d, s).
     """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    cell = _CELLS.get((k, m))
+    if cell is None:
+        cell = {}
+        for tree in _free_trees(k):
+            absent = [p for p in itertools.combinations(range(k), 2) if p not in tree]
+            for extra in itertools.combinations(absent, m - k + 1):
+                edges = tree + extra
+                degree = [0] * k
+                for u, v in edges:
+                    degree[u] += 1
+                    degree[v] += 1
+                cell.setdefault(_component_terms(k, edges), []).append(
+                    (edges, max(degree))
+                )
+        _CELLS[k, m] = cell
+    return cell
 
 
-def _scan_edge_count(
-    n: int, ell: int, e: int, prune: bool, jobs: int
-) -> List[int]:
+def _union_det(terms: Iterable[Tuple[int, int]], j: int) -> int:
+    """det(J - B) for B the disjoint union of j copies of K2 and components
+    with these (d, s) terms.
+
+    With d_i = det(-C_i) and s_i = 1^T adj(-C_i) 1 over the components C_i
+    of B, the matrix determinant lemma gives
+
+        det(J - B) = prod_i d_i + sum_i s_i prod_{j != i} d_j.
+
+    With D and S those two sums over the other components, and (-1, 2) the
+    terms of K2, this is (-1)^j (D + S - 2jD).
+    """
+    big_d, big_s = 1, 0
+    for d, s in terms:
+        big_d, big_s = big_d * d, big_s * d + s * big_d
+    return (-1) ** j * (big_d + big_s - 2 * j * big_d)
+
+
+def _scan_edge_count(n: int, ell: int, e: int, prune: bool) -> List[int]:
     """All winning complement masks with exactly e >= 1 edges, sorted.
 
-    There is one chunk per possible least edge pairs[first].
+    Each mask packs the complement's pair indicators with pair (0,1) most
+    significant, matching Graph.adjacency_bits.  A complement B wins when
+    G's neighborhood matrix J - B has determinant coprime to the modulus,
+    and that determinant depends only on B's component types (_union_det).
+
+    A component on k vertices with m edges adds 2m - k to B's total
+    2e - n.  K2 adds 0 and an isolated vertex K1 adds -1; two K1 are twins
+    and make the determinant 0, so B has at most one.  Every other
+    connected graph adds at least 1, so the rest of B is a multiset of
+    types from the cells (k, m) with 1 <= 2m - k <= 2e - n + 1, padded
+    with j copies of K2.  When prune applies (n even and t = e - n/2 >= 1)
+    the types with a degree above t + 1 (Lemma 4.6) are dropped.
+
+    Each multiset that passes the determinant test is laid out on
+    consecutive vertices once per choice of labeled types, and a layout
+    not already found adds its whole orbit, so the result is closed under
+    relabeling and holds every labeled winner.
     """
+    t = e - n // 2
+    # No degree reaches n, so without the cap no type is dropped.
+    cap = t + 1 if prune and n % 2 == 0 and t >= 1 else n
+    top = 2 * e - n + 1  # the largest 2m - k of a type B can contain
+    # (2m - k, k, (d, s), the kept labeled types) per key of the table
+    keys = []
+    for k in range(3, n + 1):
+        for m in range(k - 1, min(math.comb(k, 2), (top + k) // 2) + 1):
+            for terms, graphs in _cell(k, m).items():
+                kept = [edges for edges, degree in graphs if degree <= cap]
+                if kept:
+                    keys.append((2 * m - k, k, terms, kept))
+
+    def multisets(start: int, excess: int, room: int) -> Iterator[List[int]]:
+        """Non-decreasing index lists into keys with this total 2m - k and
+        at most room vertices."""
+        if excess == 0:
+            yield []
+            return
+        for i in range(start, len(keys)):
+            if keys[i][0] <= excess and keys[i][1] <= room:
+                for rest in multisets(i, excess - keys[i][0], room - keys[i][1]):
+                    yield [i] + rest
+
     npairs = math.comb(n, 2)
-    chunks = [(n, ell, e, first, prune) for first in range(npairs - e + 1)]
-    # The pool starts every worker up front, so never ask for more than
-    # can run at once or than there are chunks to hand out.
-    workers = min(jobs, available_cpus(), len(chunks))
-    if workers <= 1:
-        results = [_scan_chunk(chunk) for chunk in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
-    merged = set()
-    for part in results:
-        merged.update(part)
-    return sorted(merged)
+    bit = {pair: npairs - 1 - j for j, pair in enumerate(_pairs(n))}
+    winners: Set[int] = set()
+    for ones in (0, 1):  # the number of K1 components
+        for chosen in multisets(0, 2 * e - n + ones, n - ones):
+            spare = n - ones - sum(keys[i][1] for i in chosen)
+            if spare % 2:
+                continue
+            terms = [keys[i][2] for i in chosen] + [(0, 1)] * ones
+            if math.gcd(_union_det(terms, spare // 2) % ell, ell) != 1:
+                continue
+            groups = list(Counter(chosen).items())  # chosen is sorted
+            for picks in itertools.product(
+                *(itertools.combinations_with_replacement(keys[i][3], r) for i, r in groups)
+            ):
+                mask, base = 0, 0
+                for (i, _), pick in zip(groups, picks):
+                    for edges in pick:
+                        for u, v in edges:
+                            mask |= 1 << bit[base + u, base + v]
+                        base += keys[i][1]
+                for _ in range(spare // 2):
+                    mask |= 1 << bit[base, base + 1]
+                    base += 2
+                if mask not in winners:
+                    winners |= _orbit(n, mask)
+    return sorted(winners)
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
@@ -495,7 +481,8 @@ def max_size_search(
     complements of at most that many edges and raises RuntimeError if the
     cap is exhausted first.  An order above FULL_ENUMERATION_MAX_N raises
     ValueError before any scan, as does an edge count with more than
-    MAX_SCAN_CANDIDATES candidates before it is scanned.
+    MAX_SCAN_CANDIDATES candidates before it is scanned.  jobs must be
+    positive but changes nothing: the search runs in this process.
     """
     started = time.perf_counter()
     conj = conjectured_max(n, ell)
@@ -521,7 +508,7 @@ def max_size_search(
                 f"complement edge count {e} gives C({npairs}, {e}) candidates,"
                 f" over the scan limit of {MAX_SCAN_CANDIDATES:,}"
             )
-        winners = _scan_edge_count(n, ell, e, prune, jobs)
+        winners = _scan_edge_count(n, ell, e, prune)
         if winners:
             found_e = e
             break

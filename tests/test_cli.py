@@ -382,20 +382,6 @@ class TestMaxsizeCommand:
         second = capsys.readouterr().out
         assert first == second, "reports must not depend on --jobs"
 
-    def test_cpu_cap_noted_on_stderr(self, capsys, monkeypatch):
-        # One CPU keeps the search in-process, so no worker starts.
-        monkeypatch.setattr(search_mod, "available_cpus", lambda: 1)
-        monkeypatch.setattr(cli_mod, "available_cpus", lambda: 1)
-        argv = ["maxsize", "--n", "6", "--modulus", "30"]
-        main(argv + ["--jobs", "1"])
-        lone = capsys.readouterr()
-        main(argv + ["--jobs", "4"])
-        capped = capsys.readouterr()
-        assert capped.out == lone.out
-        note = "--jobs 4 exceeds the 1 CPU(s); at most 1 worker(s) will run"
-        assert note in capped.err
-        assert "CPU(s)" not in lone.err
-
     def test_env_var_jobs(self, capsys, monkeypatch):
         main(["maxsize", "--n", "4", "--modulus", "6"])
         first = capsys.readouterr().out

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ import lightsout.modular as modular_mod
 from lightsout.graphs import Graph, neighborhood_matrix
 from lightsout.modular import (
     MAX_MODULUS,
+    AuditError,
     SolutionSet,
     ZModMatrix,
     check_modulus,
@@ -393,6 +395,34 @@ class TestNormalForm:
                 assert all(d == 0 for d in tail[first_zero:]), (
                     f"zero diagonal entries must trail: {tail}"
                 )
+
+    @pytest.mark.parametrize(
+        "rows, ell",
+        [([[2, 0], [0, 3]], 6), ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], 30)],
+    )
+    def test_faulty_chain_step_raises(self, monkeypatch, fresh_memo, rows, ell):
+        """A chain step whose column addition skips row k + 1 leaves the
+        block diagonal, so every pass repeats it; the pass bound turns
+        that endless loop into AuditError."""
+
+        def faulty_add_col(self, i, j, coef):
+            for r in range(min(i, j), self.r):
+                if r != i + 1:
+                    self.d[r][i] = (self.d[r][i] + coef * self.d[r][j]) % self.ell
+            self.col_log.append((i, j, coef))
+
+        def hung(signum, frame):
+            raise TimeoutError("fix_chain did not stop")
+
+        monkeypatch.setattr(modular_mod._Reduction, "add_col", faulty_add_col)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(AuditError, match="chain fix still changing"):
+                normal_form(ZModMatrix.from_rows(rows, ell))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_deterministic(self, fresh_memo):
         rng = random.Random(5)

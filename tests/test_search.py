@@ -13,10 +13,12 @@ import sys
 import textwrap
 import types
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import labeled_scan
 import lightsout
 import lightsout.search as search_mod
 from lightsout.game import is_AW
@@ -211,8 +213,8 @@ class TestFactoredDeterminant:
             order = data.draw(st.permutations(range(len(pairs))), label="order")
             edges = [pairs[j] for j in sorted(order[:e])]
             want = full_complement_det(n, edges)
-            assert search_mod._complement_det(n, edges, memo) == want, edges
-            assert search_mod._complement_det(n, edges, memo) == want, edges
+            assert labeled_scan._complement_det(n, edges, memo) == want, edges
+            assert labeled_scan._complement_det(n, edges, memo) == want, edges
 
     @pytest.mark.parametrize(
         "n, edges, det",
@@ -226,7 +228,7 @@ class TestFactoredDeterminant:
     )
     def test_small_cases(self, n, edges, det):
         assert full_complement_det(n, edges) == det
-        assert search_mod._complement_det(n, edges, {}) == det
+        assert labeled_scan._complement_det(n, edges, {}) == det
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_scan_matches_reference(self, n):
@@ -234,7 +236,7 @@ class TestFactoredDeterminant:
             dets = full_dets(n, e)
             for ell in (2, 3, 4, 6, 30, 42, 210):
                 for prune in (True, False):
-                    got = search_mod._scan_edge_count(n, ell, e, prune, 1)
+                    got = search_mod._scan_edge_count(n, ell, e, prune)
                     want = reference_scan(dets, n, ell, e, prune)
                     assert got == want, (e, ell, prune)
 
@@ -259,7 +261,8 @@ def twin_free_complements(n: int, e: int):
 def flat_scan_dets(n: int, e: int):
     """(mask, max degree, det(J - B)) for every twin-free e-edge complement.
 
-    Each determinant is taken once through _complement_det with one memo,
+    Each determinant is taken once through the labeled oracle's
+    _complement_det with one memo,
     for every modulus and prune setting; reference_scan applies the degree
     cap and the modulus.
     """
@@ -270,13 +273,15 @@ def flat_scan_dets(n: int, e: int):
         (
             sum(1 << (npairs - 1 - j) for j in combo),
             max(map(int.bit_count, nbrs)),
-            search_mod._complement_det(n, [pairs[j] for j in combo], memo),
+            labeled_scan._complement_det(n, [pairs[j] for j in combo], memo),
         )
         for combo, nbrs in twin_free_complements(n, e)
     ]
 
 
 class TestScanChunks:
+    """The labeled walk, now the oracle, against flat enumeration."""
+
     @pytest.mark.parametrize(
         "n, edge_counts",
         [
@@ -291,21 +296,21 @@ class TestScanChunks:
     def test_chunks_partition_the_candidates(self, monkeypatch, n, edge_counts):
         """Every twin-free e-edge complement within the degree cap reaches
         exactly one determinant, and no other candidate reaches any."""
-        real = search_mod._complement_det
+        real = labeled_scan._complement_det
         seen = []
 
         def counting(n_, edges, memo):
             seen.append(tuple(edges))
             return real(n_, edges, memo)
 
-        monkeypatch.setattr(search_mod, "_complement_det", counting)
+        monkeypatch.setattr(labeled_scan, "_complement_det", counting)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for e in edge_counts:
             t = e - n // 2
             for prune in (False, True):
                 cap = t + 1 if prune and n % 2 == 0 and t >= 1 else n
                 seen.clear()
-                search_mod._scan_edge_count(n, 2, e, prune, 1)
+                labeled_scan.labeled_scan(n, 2, e, prune)
                 want = [
                     tuple(pairs[j] for j in combo)
                     for combo, nbrs in twin_free_complements(n, e)
@@ -318,8 +323,164 @@ class TestScanChunks:
     def test_walk_matches_the_flat_scan(self, n, ell, e):
         dets = flat_scan_dets(n, e)
         for prune in (True, False):
-            got = search_mod._scan_edge_count(n, ell, e, prune, 1)
+            got = labeled_scan.labeled_scan(n, ell, e, prune)
             assert got == reference_scan(dets, n, ell, e, prune), prune
+
+
+def walk_dets(n: int, e: int, prune: bool):
+    """(mask, max degree, det(J - B)) for every complement the labeled walk
+    tests, from one walk with modulus 1, where every determinant passes.
+
+    reference_scan then applies any modulus, so one walk serves them all.
+    The walk appends a candidate right after its determinant, so the
+    recorded determinants line up with each chunk's candidates.
+    """
+    real = labeled_scan._complement_det
+    dets = []
+
+    def recording(n_, edges, memo):
+        dets.append(real(n_, edges, memo))
+        return dets[-1]
+
+    npairs = math.comb(n, 2)
+    masks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeled_scan, "_complement_det", recording)
+        for first in range(npairs - e + 1):
+            masks += labeled_scan._scan_chunk((n, 1, e, first, prune))
+    if len(masks) != len(dets):
+        raise AssertionError("determinants and candidates out of step")
+    pairs = labeled_scan._pairs(n)
+    out = []
+    for mask, det in zip(masks, dets):
+        deg = [0] * n
+        for j, (u, v) in enumerate(pairs):
+            if mask >> (npairs - 1 - j) & 1:
+                deg[u] += 1
+                deg[v] += 1
+        out.append((mask, max(deg), det))
+    return out
+
+
+class TestTypeScan:
+    """The type scan against the labeled walk it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, e, prunes, moduli",
+        [
+            (8, 4, (True, False), (2, 6, 30, 42, 210)),
+            (8, 5, (True, False), (2, 6, 30, 42, 210)),
+            (8, 6, (True, False), (2, 6, 30, 42, 210)),
+            (8, 7, (True,), (2, 6, 30, 42, 210)),
+            (9, 4, (True,), (30, 210)),
+            (9, 5, (True,), (30, 210)),
+        ],
+    )
+    def test_matches_the_labeled_walk(self, n, e, prunes, moduli):
+        # The degree cap needs even n, so at n = 9 prune changes nothing.
+        for prune in prunes:
+            dets = walk_dets(n, e, prune)
+            for ell in moduli:
+                got = search_mod._scan_edge_count(n, ell, e, prune)
+                # The walk applied the degree cap already.
+                assert got == reference_scan(dets, n, ell, e, False), (ell, prune)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_edge_count_of_small_orders(self, n):
+        for e in range(1, math.comb(n, 2) + 1):
+            dets = full_dets(n, e)
+            for ell in (2, 3, 4, 6, 30, 42, 210):
+                for prune in (True, False):
+                    got = search_mod._scan_edge_count(n, ell, e, prune)
+                    assert got == reference_scan(dets, n, ell, e, prune), (e, ell, prune)
+
+
+def cell_graph(k: int, edges) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(k))
+    g.add_edges_from(edges)
+    return g
+
+
+def cell_invariant(g: nx.Graph):
+    """Sorted degrees and triangle counts, equal on isomorphic graphs."""
+    return tuple(sorted(d for _, d in g.degree())), tuple(sorted(nx.triangles(g).values()))
+
+
+class TestTypeTable:
+    def test_free_tree_counts(self):
+        counts = [len(search_mod._free_trees(k)) for k in range(1, 11)]
+        assert counts == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_free_trees_are_distinct_trees(self, k):
+        trees = [cell_graph(k, edges) for edges in search_mod._free_trees(k)]
+        assert all(nx.is_tree(t) for t in trees)
+        for a, b in itertools.combinations(trees, 2):
+            assert not nx.is_isomorphic(a, b)
+
+    def test_single_vertex_and_edge(self):
+        assert search_mod._cell(1, 0) == {(0, 1): [((), 0)]}
+        assert search_mod._cell(2, 1) == {(-1, 2): [(((0, 1),), 1)]}
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_cells_hold_every_connected_class(self, k):
+        """Each cell meets exactly the connected graphs of the atlas with
+        k vertices and m edges, and each member has its stated degree."""
+        atlas = [
+            g for g in nx.graph_atlas_g()
+            if g.number_of_nodes() == k and nx.is_connected(g)
+        ]
+        for m in range(k - 1, math.comb(k, 2) + 1):
+            classes = {}  # degree and triangle counts -> one graph per class
+            for types in search_mod._cell(k, m).values():
+                for edges, degree in types:
+                    g = cell_graph(k, edges)
+                    assert g.number_of_edges() == m and nx.is_connected(g)
+                    assert degree == max(d for _, d in g.degree())
+                    bucket = classes.setdefault(cell_invariant(g), [])
+                    if not any(nx.is_isomorphic(g, h) for h in bucket):
+                        bucket.append(g)
+            wanted = [g for g in atlas if g.number_of_edges() == m]
+            assert sum(map(len, classes.values())) == len(wanted), m
+            for g in wanted:
+                bucket = classes.get(cell_invariant(g), [])
+                assert any(nx.is_isomorphic(g, h) for h in bucket), m
+
+    def test_terms_survive_relabeling(self):
+        rng = random.Random(7)
+        for k in range(1, 8):
+            for m in range(k - 1, min(math.comb(k, 2), k + 1) + 1):
+                for terms, types in search_mod._cell(k, m).items():
+                    for edges, _ in types:
+                        perm = list(range(k))
+                        rng.shuffle(perm)
+                        moved = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+                        assert search_mod._component_terms(k, moved) == terms
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_union_det_matches_full_determinant(self, data):
+        """(-1)^j (D + S - 2jD) against det(J - B) on the laid-out union."""
+        n = data.draw(st.integers(1, 9), label="n")
+        terms, edges, base = [], [], 0
+        while base < n:
+            k = data.draw(st.integers(1, n - base), label="k")
+            # Cells grow fast with the added pairs, so k >= 7 stays sparse.
+            top = math.comb(k, 2) if k <= 6 else k
+            m = data.draw(st.integers(k - 1, top), label="m")
+            cell = search_mod._cell(k, m)
+            key = data.draw(st.sampled_from(sorted(cell)), label="terms")
+            part = data.draw(st.sampled_from(cell[key]), label="type")[0]
+            if data.draw(st.booleans(), label="shuffle"):
+                order = data.draw(st.permutations(range(k)), label="order")
+                part = [tuple(sorted((order[u], order[v]))) for u, v in part]
+            terms.append(key)
+            edges += [(base + u, base + v) for u, v in part]
+            base += k
+        j = data.draw(st.integers(0, (9 - n) // 2), label="j")
+        edges += [(n + 2 * i, n + 2 * i + 1) for i in range(j)]
+        assert search_mod._union_det(terms, j) == full_complement_det(n + 2 * j, edges)
 
 
 class TestDedup:
@@ -589,9 +750,9 @@ class TestScanLimit:
     def record_scans(monkeypatch, scan):
         seen = []
 
-        def recording(n, ell, e, prune, jobs):
+        def recording(n, ell, e, prune):
             seen.append(e)
-            return scan(n, ell, e, prune, jobs)
+            return scan(n, ell, e, prune)
 
         monkeypatch.setattr(search_mod, "_scan_edge_count", recording)
         return seen
@@ -617,7 +778,7 @@ class TestScanLimit:
         assert math.comb(28, 7) == 1_184_040 <= search_mod.MAX_SCAN_CANDIDATES
 
     def test_order_ten_stops_at_the_first_count_over_the_limit(self, monkeypatch):
-        seen = self.record_scans(monkeypatch, lambda n, ell, e, prune, jobs: [])
+        seen = self.record_scans(monkeypatch, lambda n, ell, e, prune: [])
         with pytest.raises(ValueError, match="scan limit"):
             max_size_search(10, 210)
         assert seen == [
@@ -631,52 +792,6 @@ class TestDeterminism:
         lone = max_size_search(6, 5, jobs=1)
         fanned = max_size_search(6, 5, jobs=3)
         assert json.dumps(lone.to_json()) == json.dumps(fanned.to_json())
-
-    @staticmethod
-    def record_pools(monkeypatch):
-        """Swap in a pool that runs chunks in-process; return its sizes."""
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
-        return requested
-
-    @pytest.mark.parametrize("cpus, expected", [(4, [4]), (16, [13]), (1, [])])
-    def test_pool_capped_by_cpus_and_chunks(self, monkeypatch, cpus, expected):
-        # 15 pairs, e = 3: one chunk per least edge 0..12, so 13 chunks.
-        serial = search_mod._scan_edge_count(6, 5, 3, True, 1)
-        requested = self.record_pools(monkeypatch)
-        monkeypatch.setattr(search_mod, "available_cpus", lambda: cpus)
-        assert search_mod._scan_edge_count(6, 5, 3, True, 1000) == serial
-        assert requested == expected
-
-    def test_affinity_mask_not_host_count_caps_the_pool(self, monkeypatch):
-        serial = search_mod._scan_edge_count(6, 5, 3, True, 1)
-        requested = self.record_pools(monkeypatch)
-        monkeypatch.setattr(
-            search_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False
-        )
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 64)
-        assert search_mod._scan_edge_count(6, 5, 3, True, 4) == serial
-        assert requested == []
-
-    @pytest.mark.parametrize("cpus, expected", [(8, 8), (None, 1)])
-    def test_cpus_without_affinity_mask(self, monkeypatch, cpus, expected):
-        monkeypatch.delattr(search_mod.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
-        assert search_mod.available_cpus() == expected
 
     def test_timing_left_out_of_default_payload(self):
         report = max_size_search(4, 2)

@@ -12,12 +12,17 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lightsout
 import lightsout.modular as modular_mod
+import lightsout.search as search_mod
+from lightsout.cli import main as cli_main
 from lightsout.game import winnable
 from lightsout.graphs import named_graph, neighborhood_matrix
 from lightsout.search import _scan_edge_count
@@ -88,3 +93,44 @@ def test_toggling_numbers_diagonalises_once(normal_form_calls, ell):
     m = neighborhood_matrix(named_graph("path4"), ell)
     toggling_numbers(m, range(4), 1)
     assert len(normal_form_calls) == 1
+
+
+def test_maxsize_reaches_every_hooked_search_layer(monkeypatch, capsys):
+    """The traced scan-8-42 run reads the scan, the canonical sweep and the
+    normal_form audit through the lightsout.search bindings; each must be
+    called, and the scan must return a list the tracer can count."""
+    results = {
+        name: [] for name in ("_scan_edge_count", "_canonical_reps_of_closed_set", "normal_form")
+    }
+    for name, seen in results.items():
+        original = getattr(search_mod, name)
+
+        def recording(*args, _original=original, _seen=seen, **kwargs):
+            _seen.append(_original(*args, **kwargs))
+            return _seen[-1]
+
+        monkeypatch.setattr(search_mod, name, recording)
+    assert cli_main(["maxsize", "--n", "8", "--modulus", "42"]) == 0
+    capsys.readouterr()
+    for name, seen in results.items():
+        assert seen, f"maxsize never called {name} through lightsout.search"
+    assert all(isinstance(r, list) for r in results["_scan_edge_count"])
+
+
+def test_import_builds_no_type_table():
+    """The benchmark's setup_s covers the import, so the type table waits
+    for the first scan."""
+    script = (
+        "import lightsout, lightsout.search as s;"
+        " print(len(s._FREE_TREES), len(s._CELLS))"
+    )
+    src = os.path.dirname(os.path.dirname(lightsout.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]

@@ -14,11 +14,12 @@ import textwrap
 import types
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import labeled_scan
+import brute_scan
 import lightsout
 import lightsout.search as search_mod
 from lightsout.game import is_AW
@@ -51,6 +52,7 @@ from lightsout.search import (
     pendant_lower_bound_witness,
     triangle_family_graph,
 )
+from test_modular import cofactor_det
 
 
 def brute_max_naw(n: int, ell: int):
@@ -170,51 +172,54 @@ def full_complement_det(n: int, edges) -> int:
     return det_int(rows)
 
 
-def full_dets(n: int, e: int):
-    """(mask, max degree, det(J - B)) for every e-edge complement, in rank order."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    out = []
-    for combo in itertools.combinations(range(len(pairs)), e):
-        edges = [pairs[j] for j in combo]
-        deg = [0] * n
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        mask = sum(1 << (len(pairs) - 1 - j) for j in combo)
-        out.append((mask, max(deg, default=0), full_complement_det(n, edges)))
-    return out
+def assert_scan_matches(table, n: int, ell: int, e: int, prune: bool) -> None:
+    """_scan_edge_count against the brute force's winners from table =
+    brute_scan.complement_dets(n, e)."""
+    got = np.array(search_mod._scan_edge_count(n, ell, e, prune), dtype=np.int64)
+    want = brute_scan.winners(table, n, ell, e, prune)
+    assert np.array_equal(got, want), (n, e, ell, prune, len(got), len(want))
 
 
-def reference_scan(dets, n: int, ell: int, e: int, prune: bool):
-    """The labeled scan with one full-matrix determinant per candidate.
+class TestBareissKernel:
+    """The brute force's batched determinant against independent ones."""
 
-    dets is full_dets(n, e), computed once for every modulus.
-    """
-    t = e - n // 2
-    cap = t + 1 if prune and n % 2 == 0 and t >= 1 else None
-    return sorted(
-        mask
-        for mask, top, det in dets
-        if (cap is None or top <= cap) and math.gcd(det % ell, ell) == 1
-    )
+    def test_random_square_matrices(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 10):
+            mats = rng.integers(0, 2, size=(60, n, n))
+            mats[:10, 1:] = mats[:10, :1]  # equal rows: singular
+            mats[10:20, 0, 0] = 0  # a row swap at the first step, if any pivot
+            got = brute_scan.bareiss_dets(mats)
+            want = [det_int(m.tolist()) for m in mats]
+            assert got.tolist() == want, n
+            if n <= 7:  # a Laplace expansion of order 9 takes about a second
+                assert want == [cofactor_det(m.tolist()) for m in mats], n
+            if n > 1:
+                assert not got[:10].any() and got[10:20].any()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_complement_table(self, n):
+        """Sampled rows of complement_dets against the degrees and the
+        full determinant of the complement their masks spell."""
+        rng = random.Random(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for e in sorted({1, 2, 3, n // 2} & set(range(1, len(pairs) + 1))):
+            masks, tops, dets = brute_scan.complement_dets(n, e)
+            assert len(masks) == math.comb(len(pairs), e)
+            assert len(set(masks.tolist())) == len(masks)
+            for i in rng.sample(range(len(masks)), min(40, len(masks))):
+                edges = [
+                    pair for j, pair in enumerate(pairs)
+                    if int(masks[i]) >> (len(pairs) - 1 - j) & 1
+                ]
+                degrees = [sum(x in pair for pair in edges) for x in range(n)]
+                assert len(edges) == e and tops[i] == max(degrees)
+                assert dets[i] == full_complement_det(n, edges), edges
 
 
 class TestFactoredDeterminant:
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_full_determinant(self, data):
-        n = data.draw(st.integers(1, 9), label="n")
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        memo = {}
-        # Several complements share one memo, so later ones meet entries
-        # whose s term an earlier one did or did not need.
-        for _ in range(data.draw(st.integers(1, 4), label="graphs")):
-            e = data.draw(st.integers(0, min(n + 2, len(pairs))), label="e")
-            order = data.draw(st.permutations(range(len(pairs))), label="order")
-            edges = [pairs[j] for j in sorted(order[:e])]
-            want = full_complement_det(n, edges)
-            assert labeled_scan._complement_det(n, edges, memo) == want, edges
-            assert labeled_scan._complement_det(n, edges, memo) == want, edges
+    """Hand-computed det(J - B), and the scan against the brute force at
+    n <= 7."""
 
     @pytest.mark.parametrize(
         "n, edges, det",
@@ -222,148 +227,28 @@ class TestFactoredDeterminant:
             (2, [], 0),  # J_2
             (3, [(0, 1)], -1),  # an edge and an isolated vertex
             (4, [(0, 1), (2, 3)], -3),  # d = -1, s = 2 each: 1 - 2 - 2
-            (4, [(0, 1), (1, 2), (2, 3)], -1),  # P_4 is spanning: direct det_int
+            (4, [(0, 1), (1, 2), (2, 3)], -1),  # P_4 is spanning
             (5, [(0, 1), (0, 2)], 0),  # twin leaves 1 and 2 give equal rows
         ],
     )
     def test_small_cases(self, n, edges, det):
         assert full_complement_det(n, edges) == det
-        assert labeled_scan._complement_det(n, edges, {}) == det
+        m = np.ones((1, n, n), dtype=np.int64)
+        for u, v in edges:
+            m[0, u, v] = m[0, v, u] = 0
+        assert brute_scan.bareiss_dets(m).tolist() == [det]
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_scan_matches_reference(self, n):
         for e in range(n // 2, n):
-            dets = full_dets(n, e)
+            table = brute_scan.complement_dets(n, e)
             for ell in (2, 3, 4, 6, 30, 42, 210):
                 for prune in (True, False):
-                    got = search_mod._scan_edge_count(n, ell, e, prune)
-                    want = reference_scan(dets, n, ell, e, prune)
-                    assert got == want, (e, ell, prune)
-
-
-def twin_free_complements(n: int, e: int):
-    """(pair indices, neighborhood masks) of each twin-free e-edge complement.
-
-    The labeled scan that the depth-first walk replaced: every combination
-    of e pair indices in lexicographic order, then the twin test.
-    """
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for combo in itertools.combinations(range(len(pairs)), e):
-        nbrs = [0] * n
-        for j in combo:
-            u, v = pairs[j]
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
-        if len(set(nbrs)) == n:
-            yield combo, nbrs
-
-
-def flat_scan_dets(n: int, e: int):
-    """(mask, max degree, det(J - B)) for every twin-free e-edge complement.
-
-    Each determinant is taken once through the labeled oracle's
-    _complement_det with one memo,
-    for every modulus and prune setting; reference_scan applies the degree
-    cap and the modulus.
-    """
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    npairs = len(pairs)
-    memo = {}
-    return [
-        (
-            sum(1 << (npairs - 1 - j) for j in combo),
-            max(map(int.bit_count, nbrs)),
-            labeled_scan._complement_det(n, [pairs[j] for j in combo], memo),
-        )
-        for combo, nbrs in twin_free_complements(n, e)
-    ]
-
-
-class TestScanChunks:
-    """The labeled walk, now the oracle, against flat enumeration."""
-
-    @pytest.mark.parametrize(
-        "n, edge_counts",
-        [
-            (2, [1]),
-            (3, [1, 2, 3]),
-            (4, range(1, 7)),
-            (5, range(1, 11)),
-            (6, [3, 4, 5]),
-            (7, [5]),
-        ],
-    )
-    def test_chunks_partition_the_candidates(self, monkeypatch, n, edge_counts):
-        """Every twin-free e-edge complement within the degree cap reaches
-        exactly one determinant, and no other candidate reaches any."""
-        real = labeled_scan._complement_det
-        seen = []
-
-        def counting(n_, edges, memo):
-            seen.append(tuple(edges))
-            return real(n_, edges, memo)
-
-        monkeypatch.setattr(labeled_scan, "_complement_det", counting)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for e in edge_counts:
-            t = e - n // 2
-            for prune in (False, True):
-                cap = t + 1 if prune and n % 2 == 0 and t >= 1 else n
-                seen.clear()
-                labeled_scan.labeled_scan(n, 2, e, prune)
-                want = [
-                    tuple(pairs[j] for j in combo)
-                    for combo, nbrs in twin_free_complements(n, e)
-                    if max(map(int.bit_count, nbrs)) <= cap
-                ]
-                assert len(seen) == len(want), (e, prune)
-                assert sorted(seen) == want, (e, prune)
-
-    @pytest.mark.parametrize("n, ell, e", [(8, 42, 4), (8, 42, 5), (9, 30, 4)])
-    def test_walk_matches_the_flat_scan(self, n, ell, e):
-        dets = flat_scan_dets(n, e)
-        for prune in (True, False):
-            got = labeled_scan.labeled_scan(n, ell, e, prune)
-            assert got == reference_scan(dets, n, ell, e, prune), prune
-
-
-def walk_dets(n: int, e: int, prune: bool):
-    """(mask, max degree, det(J - B)) for every complement the labeled walk
-    tests, from one walk with modulus 1, where every determinant passes.
-
-    reference_scan then applies any modulus, so one walk serves them all.
-    The walk appends a candidate right after its determinant, so the
-    recorded determinants line up with each chunk's candidates.
-    """
-    real = labeled_scan._complement_det
-    dets = []
-
-    def recording(n_, edges, memo):
-        dets.append(real(n_, edges, memo))
-        return dets[-1]
-
-    npairs = math.comb(n, 2)
-    masks = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeled_scan, "_complement_det", recording)
-        for first in range(npairs - e + 1):
-            masks += labeled_scan._scan_chunk((n, 1, e, first, prune))
-    if len(masks) != len(dets):
-        raise AssertionError("determinants and candidates out of step")
-    pairs = labeled_scan._pairs(n)
-    out = []
-    for mask, det in zip(masks, dets):
-        deg = [0] * n
-        for j, (u, v) in enumerate(pairs):
-            if mask >> (npairs - 1 - j) & 1:
-                deg[u] += 1
-                deg[v] += 1
-        out.append((mask, max(deg), det))
-    return out
+                    assert_scan_matches(table, n, ell, e, prune)
 
 
 class TestTypeScan:
-    """The type scan against the labeled walk it replaced."""
+    """The type scan against the brute force over every labeled complement."""
 
     @pytest.mark.parametrize(
         "n, e, prunes, moduli",
@@ -371,28 +256,25 @@ class TestTypeScan:
             (8, 4, (True, False), (2, 6, 30, 42, 210)),
             (8, 5, (True, False), (2, 6, 30, 42, 210)),
             (8, 6, (True, False), (2, 6, 30, 42, 210)),
-            (8, 7, (True,), (2, 6, 30, 42, 210)),
+            (8, 7, (True, False), (2, 6, 30, 42, 210)),
             (9, 4, (True,), (30, 210)),
             (9, 5, (True,), (30, 210)),
         ],
     )
     def test_matches_the_labeled_walk(self, n, e, prunes, moduli):
         # The degree cap needs even n, so at n = 9 prune changes nothing.
+        table = brute_scan.complement_dets(n, e)
         for prune in prunes:
-            dets = walk_dets(n, e, prune)
             for ell in moduli:
-                got = search_mod._scan_edge_count(n, ell, e, prune)
-                # The walk applied the degree cap already.
-                assert got == reference_scan(dets, n, ell, e, False), (ell, prune)
+                assert_scan_matches(table, n, ell, e, prune)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_every_edge_count_of_small_orders(self, n):
         for e in range(1, math.comb(n, 2) + 1):
-            dets = full_dets(n, e)
+            table = brute_scan.complement_dets(n, e)
             for ell in (2, 3, 4, 6, 30, 42, 210):
                 for prune in (True, False):
-                    got = search_mod._scan_edge_count(n, ell, e, prune)
-                    assert got == reference_scan(dets, n, ell, e, prune), (e, ell, prune)
+                    assert_scan_matches(table, n, ell, e, prune)
 
 
 def cell_graph(k: int, edges) -> nx.Graph:

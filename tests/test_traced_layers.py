@@ -4,7 +4,8 @@
 reads some of their parameters, and a traced workload fails when a layer it
 must reach records no call.  These tests check the program side of that
 contract, so a rename or a rerouted call fails here first.  The tracer file
-is parsed with ``ast``, not imported.
+is parsed with ``ast``, not imported; one traced measurement per workload
+runs ``bench/child.py`` in a subprocess.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,11 @@ from lightsout.graphs import named_graph, neighborhood_matrix
 from lightsout.search import _scan_edge_count
 from lightsout.toggling import toggling_numbers
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+# per_layer metrics that bench/run.py derives itself, not from a child's layers
+RUN_METRICS = {"search.pool.speedup_j2", "trace.overhead_ratio", "error_rate"}
 
 
 def traced_targets():
@@ -134,3 +142,28 @@ def test_import_builds_no_type_table():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0"]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_traced_child_reports_every_layer(workload):
+    """One traced measurement, started as bench/run.py starts it, exits 0
+    and ends in a strict JSON line with no errors, no absent layer, and a
+    finite value for every per_layer metric of BENCHMARK.json that the
+    child measures.  run.py leaves out the metrics of a hooked function
+    that has gone, so its own output would not show a lost layer."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env.pop("LIGHTSOUT_JOBS", None)
+    argv = [sys.executable, str(ROOT / "bench" / "child.py"), workload, "2201", "trace",
+            "1", "0", "1", repr(time.monotonic())]
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    record = json.loads(done.stdout.strip().splitlines()[-1], parse_constant=reject_constant)
+    assert record["errors"] == []
+    assert record["absent_layers"] == []
+    wanted = {m["name"] for m in SPEC["per_layer"]} - RUN_METRICS
+    assert set(record["layers"]) == wanted
+    assert all(math.isfinite(value) for value in record["layers"].values())

@@ -154,8 +154,37 @@ def pendant_lower_bound_witness(n: int, k: int) -> Graph:
     return disjoint_union(core, matching_graph(n - 2 * k - 2))
 
 
-def _pairs(n: int) -> List[Tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+_Layout = Tuple[Dict[Tuple[int, int], int], List[List[List[int]]]]
+_LAYOUTS: Dict[int, _Layout] = {}  # n -> _layout(n), filled on demand
+
+
+def _layout(n: int) -> _Layout:
+    """The bit of each pair u < v in a mask on n vertices, (0, 1) most
+    significant, and the tables _orbit applies its generators with: for
+    each of the transposition (0 1) and the cycle (0 1 ... n-1), table i
+    maps byte i of a mask to the bits of its pairs' images.  The top table
+    covers only the bits left above the last full byte.
+    """
+    layout = _LAYOUTS.get(n)
+    if layout is None:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        npairs = len(pairs)
+        bit = {pair: npairs - 1 - j for j, pair in enumerate(pairs)}
+        tables = []
+        for p in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0]):
+            image = [0] * npairs  # image[b]: the image of the pair at bit b
+            for (u, v), b in bit.items():
+                image[b] = 1 << bit[min(p[u], p[v]), max(p[u], p[v])]
+            chunks = []
+            for lo in range(0, npairs, 8):
+                t = [0] * (1 << min(8, npairs - lo))
+                for x in range(1, len(t)):
+                    low = x & -x
+                    t[x] = t[x ^ low] | image[lo + low.bit_length() - 1]
+                chunks.append(t)
+            tables.append(chunks)
+        layout = _LAYOUTS[n] = (bit, tables)
+    return layout
 
 
 Edges = Tuple[Tuple[int, int], ...]
@@ -317,8 +346,7 @@ def _scan_edge_count(n: int, ell: int, e: int, prune: bool) -> List[int]:
                 for rest in multisets(i, excess - keys[i][0], room - keys[i][1]):
                     yield [i] + rest
 
-    npairs = math.comb(n, 2)
-    bit = {pair: npairs - 1 - j for j, pair in enumerate(_pairs(n))}
+    bit = _layout(n)[0]
     winners: Set[int] = set()
     for ones in (0, 1):  # the number of K1 components
         for chosen in multisets(0, 2 * e - n + ones, n - ones):
@@ -347,12 +375,8 @@ def _scan_edge_count(n: int, ell: int, e: int, prune: bool) -> List[int]:
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    pairs = _pairs(n)
-    npairs = len(pairs)
-    edges = [
-        pairs[j] for j in range(npairs) if mask >> (npairs - 1 - j) & 1
-    ]
-    return Graph.from_edges(n, edges)
+    bit = _layout(n)[0]
+    return Graph.from_edges(n, [pair for pair, b in bit.items() if mask >> b & 1])
 
 
 def _orbit(n: int, mask: int) -> Set[int]:
@@ -360,22 +384,20 @@ def _orbit(n: int, mask: int) -> Set[int]:
 
     The transposition (0 1) and the cycle (0 1 ... n-1) generate all vertex
     permutations, so closing {mask} under their pair maps gives the orbit.
+    Each generator is applied by table lookup (_layout): the image of a
+    mask is the OR over its bytes of that byte's table entry, so a step
+    costs ceil(C(n, 2) / 8) lookups instead of a loop over the pairs.
     """
-    if n <= 1:
-        return {mask}
-    pairs = _pairs(n)
-    bit = {pair: len(pairs) - 1 - j for j, pair in enumerate(pairs)}
-    # (bit of a pair, bit of its image) under each generator.
-    gens = [
-        [(bit[u, v], bit[min(p[u], p[v]), max(p[u], p[v])]) for u, v in pairs]
-        for p in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0])
-    ]
+    tables = _layout(n)[1]
     orbit = {mask}
     todo = [mask]
     while todo:
         current = todo.pop()
-        for gen in gens:
-            image = sum(1 << dst for src, dst in gen if current >> src & 1)
+        for chunks in tables:
+            image, rest = 0, current
+            for t in chunks:
+                image |= t[rest & 255]
+                rest >>= 8
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)

@@ -268,6 +268,26 @@ class TestTypeScan:
             for ell in moduli:
                 assert_scan_matches(table, n, ell, e, prune)
 
+    @pytest.mark.parametrize(
+        "n, ell, e, tested", [(8, 42, 5, {True: 5, False: 8}), (6, 30, 4, {True: 4, False: 6})]
+    )
+    def test_degree_cap_sets_the_multisets_tested(self, monkeypatch, n, ell, e, tested):
+        """No winner has a degree above t + 1 (Lemma 4.6), so the cap never
+        changes the winners; only the number of multisets it leaves to test
+        shows a loosened cap (t + 2 tests 8 and 6 here with prune on)."""
+        calls = []
+        union_det = search_mod._union_det
+
+        def counted(terms, j):
+            calls.append(j)
+            return union_det(terms, j)
+
+        monkeypatch.setattr(search_mod, "_union_det", counted)
+        for prune, want in tested.items():
+            calls.clear()
+            search_mod._scan_edge_count(n, ell, e, prune)
+            assert len(calls) == want, prune
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_every_edge_count_of_small_orders(self, n):
         for e in range(1, math.comb(n, 2) + 1):
@@ -402,10 +422,21 @@ class TestDedup:
 
     def test_canonical_bits_minimal_over_small_orbit(self):
         # Brute force over all n! permutations is the oracle for _orbit.
+        # _orbit reads its masks a byte at a time, so the cases include the
+        # empty and the full mask and the pairs of the top, partial byte.
         rng = random.Random(3)
         graphs = [path_graph(4)]
-        for n in range(1, 8):
-            for _ in range(3 if n == 7 else 6):
+        for n in range(0, 9):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            top = len(pairs) % 8 or 8  # pairs (0, 1), (0, 2), ... lead the mask
+            graphs.append(Graph.from_edges(n, pairs[:top]))
+            if n < 8:  # each graph on 8 vertices costs 8! relabelings
+                graphs += [
+                    Graph.from_edges(n, []),
+                    Graph.from_edges(n, pairs),
+                    Graph.from_edges(n, pairs[top - 1 : top]),
+                ]
+            for _ in range(1 if n == 8 else 3 if n == 7 else 6):
                 density = rng.random()
                 graphs.append(
                     Graph.from_edges(
@@ -425,6 +456,24 @@ class TestDedup:
             }
             assert search_mod._orbit(g.n, g.adjacency_bits()) == bits
             assert canonical_adjacency_bits(g) == min(bits)
+
+    def test_orbit_of_one_edge_on_twelve_vertices(self):
+        assert search_mod._orbit(12, 1) == {1 << j for j in range(66)}
+
+    def test_import_builds_no_orbit_table(self):
+        """The benchmark's setup_s covers the import, so the pair layouts
+        and their orbit tables wait for the first search."""
+        script = "import lightsout, lightsout.search as s; print(len(s._LAYOUTS))"
+        src = os.path.dirname(os.path.dirname(lightsout.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
 
     def test_large_order_rejected(self):
         with pytest.raises(ValueError):

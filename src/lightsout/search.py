@@ -5,8 +5,8 @@ has maximum size among N-AW graphs exactly when its complement has minimum
 size among complements of N-AW graphs, and the complement size is pinned
 to the window [floor(n/2), n-1].  Scanning complement edge counts in
 increasing order and stopping at the first count that admits an N-AW
-complement therefore finds the maximum and every labeled graph achieving
-it.
+complement therefore finds the maximum and every class of graphs
+achieving it.
 
 An edge count is decided from component types, not labeled complements.
 By the matrix determinant lemma, det(J - B) for G's neighborhood matrix
@@ -15,9 +15,11 @@ of B's components C (see _union_det), and apart from copies of K2 and at
 most one isolated vertex those components come from a finite set of
 connected graphs that the edge count bounds.  Those types are generated
 once from free trees and cached; each multiset of them is tested once,
-and each winning multiset is laid out and closed under relabeling, so the
-scan still returns every labeled winner (see _scan_edge_count).  The
-surviving canonical representatives are re-verified through the
+and each winning multiset is laid out once per pick of labeled types (see
+_scan_edge_count).  Each layout is canonicalised once by a search over
+labelings pruned by automorphisms (_canonical_form), not by walking its
+relabelings.  Each class's automorphism count is checked against its
+components', and its representative is re-verified through the
 diagonalization route, so the two invertibility criteria still audit each
 other.
 """
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .graphs import (
+    GRAPH6_MAX_N,
     Graph,
     complement,
     corona_pendant,
@@ -52,18 +55,17 @@ RULE_EVEN_EVEN = "even_even"
 PROVEN = "PROVEN"
 LOWER_BOUND = "LOWER_BOUND"
 
-# Largest order any search accepts: at n = 11 the first complement edge
-# count already has C(55, 5) = 3,478,761 candidates, over
-# MAX_SCAN_CANDIDATES.  It also bounds canonical_adjacency_bits, since an
-# asymmetric graph has n! relabelings.
+# Largest order any search accepts.  The type table (_cell) that decides
+# each edge count has no size bound of its own yet, so the order stays where
+# every modulus has been measured: at n = 10 the slowest, ell = 210, takes
+# about 0.22 s, nearly all of it building the table.
 FULL_ENUMERATION_MAX_N = 10
 
-# Most candidate complements, C(C(n, 2), e), one edge count may have
-# before the search refuses it; within FULL_ENUMERATION_MAX_N that is
-# n = 10 with e >= 6.  The scan visits no candidates, but the labeled
-# winners it expands and _canonical_reps_of_closed_set walks are a subset
-# of them, so the limit bounds both.
-MAX_SCAN_CANDIDATES = 2_000_000
+# Most search-tree nodes one canonical form may visit before _canonical_form
+# raises ValueError.  The worst graphs measured, complements of disjoint
+# unions of regular graphs on 60 to 62 vertices, take about 44,000 nodes
+# (2 s); a random cubic graph on 62 vertices takes 1,700.
+MAX_CANON_NODES = 100_000
 
 
 def minimal_coprime_k(n: int, ell: int) -> int:
@@ -154,37 +156,18 @@ def pendant_lower_bound_witness(n: int, k: int) -> Graph:
     return disjoint_union(core, matching_graph(n - 2 * k - 2))
 
 
-_Layout = Tuple[Dict[Tuple[int, int], int], List[List[List[int]]]]
-_LAYOUTS: Dict[int, _Layout] = {}  # n -> _layout(n), filled on demand
+_LAYOUTS: Dict[int, Dict[Tuple[int, int], int]] = {}  # filled on demand by _layout
 
 
-def _layout(n: int) -> _Layout:
+def _layout(n: int) -> Dict[Tuple[int, int], int]:
     """The bit of each pair u < v in a mask on n vertices, (0, 1) most
-    significant, and the tables _orbit applies its generators with: for
-    each of the transposition (0 1) and the cycle (0 1 ... n-1), table i
-    maps byte i of a mask to the bits of its pairs' images.  The top table
-    covers only the bits left above the last full byte.
-    """
-    layout = _LAYOUTS.get(n)
-    if layout is None:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        npairs = len(pairs)
-        bit = {pair: npairs - 1 - j for j, pair in enumerate(pairs)}
-        tables = []
-        for p in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0]):
-            image = [0] * npairs  # image[b]: the image of the pair at bit b
-            for (u, v), b in bit.items():
-                image[b] = 1 << bit[min(p[u], p[v]), max(p[u], p[v])]
-            chunks = []
-            for lo in range(0, npairs, 8):
-                t = [0] * (1 << min(8, npairs - lo))
-                for x in range(1, len(t)):
-                    low = x & -x
-                    t[x] = t[x ^ low] | image[lo + low.bit_length() - 1]
-                chunks.append(t)
-            tables.append(chunks)
-        layout = _LAYOUTS[n] = (bit, tables)
-    return layout
+    significant."""
+    bit = _LAYOUTS.get(n)
+    if bit is None:
+        npairs = math.comb(n, 2)
+        pairs = itertools.combinations(range(n), 2)
+        bit = _LAYOUTS[n] = {pair: npairs - 1 - j for j, pair in enumerate(pairs)}
+    return bit
 
 
 Edges = Tuple[Tuple[int, int], ...]
@@ -302,7 +285,7 @@ def _union_det(terms: Iterable[Tuple[int, int]], j: int) -> int:
 
 
 def _scan_edge_count(n: int, ell: int, e: int, prune: bool) -> List[int]:
-    """All winning complement masks with exactly e >= 1 edges, sorted.
+    """The winning complement layouts with exactly e >= 1 edges, sorted.
 
     Each mask packs the complement's pair indicators with pair (0,1) most
     significant, matching Graph.adjacency_bits.  A complement B wins when
@@ -318,9 +301,8 @@ def _scan_edge_count(n: int, ell: int, e: int, prune: bool) -> List[int]:
     the types with a degree above t + 1 (Lemma 4.6) are dropped.
 
     Each multiset that passes the determinant test is laid out on
-    consecutive vertices once per choice of labeled types, and a layout
-    not already found adds its whole orbit, so the result is closed under
-    relabeling and holds every labeled winner.
+    consecutive vertices once per choice of labeled types, so every class
+    of winners has at least one layout; no other relabeling is built.
     """
     t = e - n // 2
     # No degree reaches n, so without the cap no type is dropped.
@@ -346,7 +328,7 @@ def _scan_edge_count(n: int, ell: int, e: int, prune: bool) -> List[int]:
                 for rest in multisets(i, excess - keys[i][0], room - keys[i][1]):
                     yield [i] + rest
 
-    bit = _layout(n)[0]
+    bit = _layout(n)
     winners: Set[int] = set()
     for ones in (0, 1):  # the number of K1 components
         for chosen in multisets(0, 2 * e - n + ones, n - ones):
@@ -369,49 +351,166 @@ def _scan_edge_count(n: int, ell: int, e: int, prune: bool) -> List[int]:
                 for _ in range(spare // 2):
                     mask |= 1 << bit[base, base + 1]
                     base += 2
-                if mask not in winners:
-                    winners |= _orbit(n, mask)
+                winners.add(mask)
     return sorted(winners)
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    bit = _layout(n)[0]
+    bit = _layout(n)
     return Graph.from_edges(n, [pair for pair, b in bit.items() if mask >> b & 1])
 
 
-def _orbit(n: int, mask: int) -> Set[int]:
-    """Every relabeling of a pair mask, in time proportional to their number.
+def _canonical_form(adj: Sequence[int]) -> Tuple[int, int]:
+    """(form, |Aut|) of the graph with these neighbour bitmasks, where form
+    is its greatest pair bits (packed as Graph.adjacency_bits) over all
+    relabelings.
 
-    The transposition (0 1) and the cycle (0 1 ... n-1) generate all vertex
-    permutations, so closing {mask} under their pair maps gives the orbit.
-    Each generator is applied by table lookup (_layout): the image of a
-    mask is the OR over its bytes of that byte's table entry, so a step
-    costs ceil(C(n, 2) / 8) lookups instead of a loop over the pairs.
+    Labels are handed out in order.  The unlabeled vertices sit in an
+    ordered partition whose cells share their adjacency to the labeled
+    prefix, cells adjacent to earlier labels first, and every labeling that
+    can still be greatest labels the cells in that order with each
+    vertex's neighbours first in every later cell.  So the next label goes
+    to a vertex of the first cell, and its row is fixed by how many
+    neighbours it has in each cell: only the vertices with the greatest
+    row are tried, and each cell then splits into neighbours and the rest.
+
+    The search tree is pruned as in McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60 (2014):
+    - a node whose prefix is below the best leaf's is dropped, unless it
+      matches the first leaf's;
+    - at a node, one candidate per orbit of the known automorphisms that
+      fix the prefix is tried, the transpositions of twins
+      (N(u) - {w} = N(w) - {u}) counting as known;
+    - a leaf whose form equals the first or the best leaf's gives an
+      automorphism, and the search jumps back to where their paths split.
+    The automorphisms met at the nodes of the first path generate the
+    stabiliser of each prefix on it, so |Aut| is the product over that
+    path of each label's orbit under those fixing the labels before it.
+    More than MAX_CANON_NODES nodes raise ValueError.
     """
-    tables = _layout(n)[1]
-    orbit = {mask}
-    todo = [mask]
-    while todo:
-        current = todo.pop()
-        for chunks in tables:
-            image, rest = 0, current
-            for t in chunks:
-                image |= t[rest & 255]
-                rest >>= 8
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
+    n = len(adj)
+    twins = [
+        sum(1 << w for w in range(n) if adj[u] & ~(1 << w) == adj[w] & ~(1 << u))
+        for u in range(n)
+    ]
+    path: List[int] = []
+    gens: List[Tuple[List[int], int]] = []  # (image of each vertex, moved vertices)
+    # (form, labeling) of the first leaf and of the best one so far
+    first: Optional[Tuple[int, List[int]]] = None
+    best: Tuple[int, List[int]] = (-1, [])
+    nodes = 0
+
+    def orbit(v: int, fixed: int) -> int:
+        """The vertices v reaches by known automorphisms fixing `fixed`."""
+        moves = [g for g, moved in gens if not moved & fixed]
+        seen, todo = 1 << v, [v]
+        while todo:
+            x = todo.pop()
+            new = twins[x] & ~fixed
+            for g in moves:
+                new |= 1 << g[x]
+            new &= ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                todo.append(low.bit_length() - 1)
+                new ^= low
+        return seen
+
+    def leaf(form: int) -> Optional[int]:
+        """Record a complete labeling; return the depth to jump back to."""
+        nonlocal first, best
+        labeling = path[:]
+        if first is None:
+            first = best = (form, labeling)
+            return None
+        for known, ref in (first, best):
+            if form == known:
+                image = list(range(n))
+                moved = 0
+                for x, y in zip(ref, labeling):
+                    image[x] = y
+                    if x != y:
+                        moved |= 1 << x
+                gens.append((image, moved))
+                return next(i for i, (x, y) in enumerate(zip(ref, labeling)) if x != y)
+        if form > best[0]:
+            best = (form, labeling)
+        return None
+
+    def visit(cells: List[int], form: int, fixed: int) -> Optional[int]:
+        """Search below the node labeled by path; return None, or the depth
+        of the node the search jumps back to."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_CANON_NODES:
+            raise ValueError(
+                f"canonical form search passed {MAX_CANON_NODES:,} nodes at n = {n}"
+            )
+        if not cells:
+            return leaf(form)
+        top, chosen = -1, 0
+        rest = cells[1:]
+        head = cells[0]
+        room = head.bit_count() - 1
+        low_bits = head
+        while low_bits:
+            low = low_bits & -low_bits
+            low_bits ^= low
+            a = adj[low.bit_length() - 1]
+            c = (a & head).bit_count()
+            row = ((1 << c) - 1) << (room - c)
+            for cell in rest:
+                k, c = cell.bit_count(), (a & cell).bit_count()
+                row = row << k | ((1 << c) - 1) << (k - c)
+            if row > top:
+                top, chosen = row, low
+            elif row == top:
+                chosen |= low
+        depth = len(path)
+        form = form << (n - 1 - depth) | top
+        if first is not None:
+            shift = (n - 1 - depth) * (n - 2 - depth) // 2  # bits still to come
+            if form < best[0] >> shift and form != first[0] >> shift:
+                return None
+        tried = 0
+        while chosen:
+            low = chosen & -chosen
+            chosen ^= low
+            v = low.bit_length() - 1
+            if tried and orbit(v, fixed) & tried:
+                continue
+            tried |= low
+            a = adj[v]
+            refined = [
+                part for cell in cells for part in (cell & a, cell & ~a & ~low) if part
+            ]
+            path.append(v)
+            jump = visit(refined, form, fixed | low)
+            path.pop()
+            if jump is not None and jump < depth:
+                return jump
+        return None
+
+    visit([(1 << n) - 1] if n else [], 0, 0)
+    order, fixed = 1, 0
+    for v in first[1]:
+        order *= orbit(v, fixed).bit_count()
+        fixed |= 1 << v
+    return best[0], order
 
 
 def canonical_adjacency_bits(g: Graph) -> int:
     """Lexicographically least adjacency bits over all vertex relabelings.
 
-    The cost is proportional to g's orbit size, n! for an asymmetric graph.
+    These are the complement's greatest bits, flipped, so one search by
+    _canonical_form gives them without walking the n! relabelings.  Orders
+    up to GRAPH6_MAX_N are accepted.
     """
-    if g.n > FULL_ENUMERATION_MAX_N:
-        raise ValueError(f"canonical form limited to n <= {FULL_ENUMERATION_MAX_N}")
-    return min(_orbit(g.n, g.adjacency_bits()))
+    if g.n > GRAPH6_MAX_N:
+        raise ValueError(f"canonical form limited to n <= {GRAPH6_MAX_N}")
+    form, _ = _canonical_form(complement(g).adj)
+    return ((1 << math.comb(g.n, 2)) - 1) ^ form
 
 
 def dedup_isomorphism(graphs: Sequence[Graph]) -> List[Graph]:
@@ -432,27 +531,35 @@ def dedup_isomorphism(graphs: Sequence[Graph]) -> List[Graph]:
 
 
 def _canonical_reps_of_closed_set(n: int, masks: Sequence[int]) -> List[int]:
-    """Canonical class representatives of a permutation-closed mask set.
+    """The canonical masks, sorted, of the classes of these graph masks.
 
-    The input must contain every relabeling of each of its members (true
-    for the full labeled winner list at a fixed edge count).  Repeatedly
-    taking the minimal remaining mask and deleting its orbit then yields
-    exactly the lexicographically least member of each class; both facts
-    are checked, raising AuditError.  The cost is proportional to the
-    total orbit size, which is len(masks) for a closed input.
+    The input need not be closed under relabeling any more: max_size_search
+    passes the complement of each winning layout, one per class or a few.
+    The name is kept because bench/tracer.py times this step by it.  Each
+    mask is canonicalised once.  For the first mask of each class, the
+    order of Aut(B) of its complement B must equal prod |Aut(C)|^r * r!
+    over B's component classes C of multiplicity r (2^j * j! for j copies
+    of K2), each |Aut(C)| from a search of C alone; else AuditError.
     """
-    remaining = set(masks)
-    reps: List[int] = []
-    while remaining:
-        best = min(remaining)
-        orbit = _orbit(n, best)
-        if min(orbit) != best:
-            raise AuditError("minimal mask was not canonical")
-        if not orbit <= remaining:
-            raise AuditError("winner set not closed under relabeling")
-        remaining -= orbit
-        reps.append(best)
-    return reps
+    full = (1 << math.comb(n, 2)) - 1
+    reps: Set[int] = set()
+    for mask in masks:
+        b = complement(_graph_from_mask(n, mask))
+        form, order = _canonical_form(b.adj)
+        if full ^ form in reps:
+            continue
+        reps.add(full ^ form)
+        parts = Counter()
+        for vertices in b.components():
+            c = b.induced(vertices)
+            parts[(c.n, *_canonical_form(c.adj))] += 1
+        want = math.prod(aut**r * math.factorial(r) for (_, _, aut), r in parts.items())
+        if want != order:
+            raise AuditError(
+                f"|Aut| of a winner's complement is {order} from its search"
+                f" and {want} from its components"
+            )
+    return sorted(reps)
 
 
 @dataclass(frozen=True)
@@ -502,9 +609,10 @@ def max_size_search(
     guaranteed to reach by n - 1.  bounded_cap limits the scan to
     complements of at most that many edges and raises RuntimeError if the
     cap is exhausted first.  An order above FULL_ENUMERATION_MAX_N raises
-    ValueError before any scan, as does an edge count with more than
-    MAX_SCAN_CANDIDATES candidates before it is scanned.  jobs must be
-    positive but changes nothing: the search runs in this process.
+    ValueError before any scan.  Each winning layout is canonicalised once,
+    and each class's representative is audited by its automorphism count
+    and by the diagonalization route.  jobs must be positive but changes
+    nothing: the search runs in this process.
     """
     started = time.perf_counter()
     conj = conjectured_max(n, ell)
@@ -525,11 +633,6 @@ def max_size_search(
     winners: List[int] = []
     found_e = None
     for e in range(n // 2, e_stop + 1):
-        if math.comb(npairs, e) > MAX_SCAN_CANDIDATES:
-            raise ValueError(
-                f"complement edge count {e} gives C({npairs}, {e}) candidates,"
-                f" over the scan limit of {MAX_SCAN_CANDIDATES:,}"
-            )
         winners = _scan_edge_count(n, ell, e, prune)
         if winners:
             found_e = e

@@ -426,20 +426,6 @@ class TestMaxsizeCommand:
         assert "raise the cap" in err
         assert not path.exists()
 
-    def test_scan_limit_exits_two_with_nothing_on_stdout(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("scanned past the limit")
-
-        # (6, 10) would first scan e = 3, which has C(15, 3) = 455 candidates.
-        monkeypatch.setattr(search_mod, "MAX_SCAN_CANDIDATES", 454)
-        monkeypatch.setattr(search_mod, "_scan_edge_count", refuse)
-        code, payload, err = run_cli(
-            capsys,
-            ["maxsize", "--n", "6", "--modulus", "10", "--bounded", "5"],
-        )
-        assert code == 2 and payload is None
-        assert "error: complement edge count 3 gives C(15, 3)" in err
-
     @pytest.mark.parametrize("bounded", [None, "3", "5", "25", "n"])
     @pytest.mark.parametrize("n", ["11", "40", "63", "2000000"])
     def test_orders_past_the_wall_exit_two_before_any_scan(

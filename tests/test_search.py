@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import brute_scan
 import lightsout
+import orbit_oracle
 import lightsout.search as search_mod
 from lightsout.game import is_AW
 from lightsout.graphs import (
@@ -172,12 +173,38 @@ def full_complement_det(n: int, edges) -> int:
     return det_int(rows)
 
 
+def automorphism_count(n: int, mask: int) -> int:
+    """|Aut| of the graph whose pair bits are mask, from the canonical search."""
+    return search_mod._canonical_form(search_mod._graph_from_mask(n, mask).adj)[1]
+
+
+def labeled_count(n: int, classes) -> int:
+    """How many labeled graphs the classes with these canonical masks hold:
+    the sum of n!/|Aut| over them (a graph and its complement share Aut)."""
+    return sum(math.factorial(n) // automorphism_count(n, c) for c in classes)
+
+
+def scan_classes(n: int, ell: int, e: int, prune: bool = True):
+    """The canonical masks of the winners at edge count e, by the class route
+    max_size_search takes: the scan's layouts, canonicalised once each."""
+    full = (1 << math.comb(n, 2)) - 1
+    layouts = search_mod._scan_edge_count(n, ell, e, prune)
+    classes = search_mod._canonical_reps_of_closed_set(n, [full ^ w for w in layouts])
+    return layouts, classes
+
+
 def assert_scan_matches(table, n: int, ell: int, e: int, prune: bool) -> None:
-    """_scan_edge_count against the brute force's winners from table =
-    brute_scan.complement_dets(n, e)."""
-    got = np.array(search_mod._scan_edge_count(n, ell, e, prune), dtype=np.int64)
-    want = brute_scan.winners(table, n, ell, e, prune)
-    assert np.array_equal(got, want), (n, e, ell, prune, len(got), len(want))
+    """The class route against the brute force's winners from table =
+    brute_scan.complement_dets(n, e): every layout is a winner, the classes
+    are those the orbit sweep finds among all the winners, and the sum of
+    n!/|Aut| over the classes counts every winner."""
+    layouts, classes = scan_classes(n, ell, e, prune)
+    want = brute_scan.winners(table, n, ell, e, prune).tolist()
+    full = (1 << math.comb(n, 2)) - 1
+    case = (n, e, ell, prune, len(layouts), len(want))
+    assert set(layouts) <= set(want), case
+    assert classes == orbit_oracle.closed_set_reps(n, [full ^ w for w in want]), case
+    assert labeled_count(n, classes) == len(want), case
 
 
 class TestBareissKernel:
@@ -295,6 +322,22 @@ class TestTypeScan:
             for ell in (2, 3, 4, 6, 30, 42, 210):
                 for prune in (True, False):
                     assert_scan_matches(table, n, ell, e, prune)
+
+    @pytest.mark.parametrize(
+        "n, ell, e, classes, count",
+        [
+            (8, 42, 5, 1, 2_520),
+            (8, 210, 7, 3, 30_240),
+            (10, 30, 6, 1, 37_800),
+            (10, 210, 9, 8, 5_673_150),
+        ],
+    )
+    def test_labeled_winner_counts(self, n, ell, e, classes, count):
+        """The labeled winners counted before the search stopped expanding
+        them (the last two by the type table alone)."""
+        _, reps = scan_classes(n, ell, e)
+        assert len(reps) == classes
+        assert labeled_count(n, reps) == count
 
 
 def cell_graph(k: int, edges) -> nx.Graph:
@@ -454,58 +497,180 @@ class TestDedup:
                 g.relabel(list(p)).adjacency_bits()
                 for p in itertools.permutations(range(g.n))
             }
-            assert search_mod._orbit(g.n, g.adjacency_bits()) == bits
+            assert orbit_oracle.orbit(g.n, g.adjacency_bits()) == bits
             assert canonical_adjacency_bits(g) == min(bits)
 
     def test_orbit_of_one_edge_on_twelve_vertices(self):
-        assert search_mod._orbit(12, 1) == {1 << j for j in range(66)}
-
-    def test_import_builds_no_orbit_table(self):
-        """The benchmark's setup_s covers the import, so the pair layouts
-        and their orbit tables wait for the first search."""
-        script = "import lightsout, lightsout.search as s; print(len(s._LAYOUTS))"
-        src = os.path.dirname(os.path.dirname(lightsout.__file__))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0"]
+        assert orbit_oracle.orbit(12, 1) == {1 << j for j in range(66)}
 
     def test_large_order_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_adjacency_bits(Graph(11, [0] * 11))
+        with pytest.raises(ValueError, match="limited to n <= 62"):
+            canonical_adjacency_bits(Graph(63, [0] * 63))
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return h
+
+
+def lightsout_graph(h: nx.Graph) -> Graph:
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph.from_edges(h.number_of_nodes(), h.edges())
+
+
+def nx_automorphisms(g: Graph) -> int:
+    h = nx_graph(g)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def random_graph(rng: random.Random, n: int, density=None) -> Graph:
+    if density is None:
+        density = rng.random()
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, [p for p in pairs if rng.random() < density])
+
+
+def unions(part: Graph, copies: int) -> Graph:
+    g = part
+    for _ in range(copies - 1):
+        g = disjoint_union(g, part)
+    return g
+
+
+SYMMETRIC_UNIONS = [
+    unions(complete_graph(2), 4),
+    unions(complete_graph(3), 3),
+    unions(complete_graph(4), 2),
+]
+
+
+class TestCanonicalForm:
+    """The pruned search against the brute-force orbit minimum and against
+    networkx."""
+
+    def test_atlas_graphs_match_the_orbit_minimum(self):
+        for h in nx.graph_atlas_g():  # every graph with at most 7 vertices
+            g = lightsout_graph(h)
+            want = min(orbit_oracle.orbit(g.n, g.adjacency_bits()))
+            assert canonical_adjacency_bits(g) == want, sorted(h.edges())
+
+    @pytest.mark.parametrize("n, count", [(8, 12), (9, 2)])
+    def test_random_graphs_match_the_orbit_minimum(self, n, count):
+        rng = random.Random(n)
+        for _ in range(count):
+            g = random_graph(rng, n)
+            want = min(orbit_oracle.orbit(n, g.adjacency_bits()))
+            assert canonical_adjacency_bits(g) == want, g
+
+    @pytest.mark.parametrize("base", SYMMETRIC_UNIONS, ids=["4K2", "3K3", "2K4"])
+    def test_symmetric_unions_and_complements(self, base):
+        for g in (base, complement(base)):
+            want = min(orbit_oracle.orbit(g.n, g.adjacency_bits()))
+            assert canonical_adjacency_bits(g) == want
+            assert automorphism_count(g.n, g.adjacency_bits()) == nx_automorphisms(g)
+
+    def test_equal_forms_exactly_when_isomorphic(self):
+        """Each graph against a relabeling of itself with one edge moved
+        or none; a moved edge keeps the size and often the class."""
+        rng = random.Random(16)
+        for _ in range(200):
+            n = rng.randrange(1, 17)
+            g = random_graph(rng, n)
+            edges = g.edges()
+            absent = [p for p in itertools.combinations(range(n), 2) if p not in edges]
+            if edges and absent and rng.random() < 0.7:
+                edges.remove(rng.choice(edges))
+                edges.append(rng.choice(absent))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(n, edges).relabel(perm)
+            same = nx.is_isomorphic(nx_graph(g), nx_graph(h))
+            equal = canonical_adjacency_bits(h) == canonical_adjacency_bits(g)
+            assert equal == same, (g, h)
+
+    def test_automorphism_counts_match_networkx(self):
+        graphs = [lightsout_graph(h) for h in nx.graph_atlas_g()[1:209]]  # n = 1..6
+        rng = random.Random(7)
+        graphs += [random_graph(rng, n, 0.4) for n in (7, 7, 8, 8, 9, 9, 10)]
+        graphs += [
+            lightsout_graph(nx.petersen_graph()),
+            lightsout_graph(nx.cubical_graph()),
+            cycle_graph(9),
+            star_graph(6),
+            unions(path_graph(3), 3),
+        ]
+        for g in graphs:
+            assert automorphism_count(g.n, g.adjacency_bits()) == nx_automorphisms(g), g
+
+    def test_large_symmetric_groups(self):
+        eight_k2 = matching_graph(16).adjacency_bits()
+        assert automorphism_count(16, eight_k2) == 2**8 * math.factorial(8)
+        grid = lightsout_graph(nx.grid_2d_graph(4, 4))
+        assert automorphism_count(16, complement(grid).adjacency_bits()) == 8
+        k62 = complete_graph(62)
+        assert automorphism_count(62, k62.adjacency_bits()) == math.factorial(62)
+        assert canonical_adjacency_bits(k62) == k62.adjacency_bits()
+
+    def test_free_trees_on_twelve_vertices(self):
+        rng = random.Random(12)
+        forms = set()
+        for h in nx.nonisomorphic_trees(12):
+            g = lightsout_graph(h)
+            perm = list(range(12))
+            rng.shuffle(perm)
+            form = canonical_adjacency_bits(g)
+            assert canonical_adjacency_bits(g.relabel(perm)) == form
+            forms.add(form)
+        assert len(forms) == 551
+
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(search_mod, "MAX_CANON_NODES", 5)
+        with pytest.raises(ValueError, match="passed 5 nodes"):
+            canonical_adjacency_bits(lightsout_graph(nx.petersen_graph()))
+        assert canonical_adjacency_bits(path_graph(2)) == 1  # 3 nodes
 
 
 class TestClosedSetReps:
-    @staticmethod
-    def path4_orbit():
-        g = path_graph(4)
-        return sorted(
-            {
-                g.relabel(list(p)).adjacency_bits()
-                for p in itertools.permutations(range(4))
-            }
-        )
-
     def test_single_edges_on_twelve_vertices(self):
         masks = [1 << j for j in range(66)]
         assert search_mod._canonical_reps_of_closed_set(12, masks) == [1]
 
-    def test_missing_relabeling_raises(self):
-        masks = self.path4_orbit()
-        del masks[-1]
-        with pytest.raises(AuditError, match="not closed under relabeling"):
-            search_mod._canonical_reps_of_closed_set(4, masks)
+    @staticmethod
+    def corrupt_first_count(monkeypatch):
+        """Double the |Aut| of the first search, a whole complement's;
+        return the orders of the graphs searched."""
+        real = search_mod._canonical_form
+        calls = []
 
-    def test_missing_minimum_raises(self):
-        masks = self.path4_orbit()
-        del masks[0]
-        with pytest.raises(AuditError, match="not canonical"):
-            search_mod._canonical_reps_of_closed_set(4, masks)
+        def corrupted(adj):
+            form, order = real(adj)
+            calls.append(len(adj))
+            return form, order * 2 if len(calls) == 1 else order
+
+        monkeypatch.setattr(search_mod, "_canonical_form", corrupted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "g",
+        [complement(unions(complete_graph(2), 4)), complement(path_graph(5))],
+        ids=["4K2", "P5"],
+    )
+    def test_corrupted_automorphism_count_raises(self, monkeypatch, g):
+        """The whole complement's |Aut| must equal its components' product."""
+        assert search_mod._canonical_reps_of_closed_set(g.n, [g.adjacency_bits()]) == [
+            canonical_adjacency_bits(g)
+        ]
+        calls = self.corrupt_first_count(monkeypatch)
+        with pytest.raises(AuditError, match=r"\|Aut\| of a winner's complement"):
+            search_mod._canonical_reps_of_closed_set(g.n, [g.adjacency_bits()])
+        assert calls[0] == g.n
+
+    def test_corrupted_count_stops_the_search(self, monkeypatch):
+        self.corrupt_first_count(monkeypatch)
+        with pytest.raises(AuditError, match="from its components"):
+            max_size_search(6, 30)
 
 
 class TestSearchAgainstBruteForce:
@@ -647,6 +812,14 @@ class TestSearchModes:
             unpruned.conjectured,
         )
 
+    def test_order_ten_decides_every_modulus_tried(self):
+        # (10, 30) and (10, 210) were refused while winners were expanded
+        # into labeled graphs.
+        for ell, size, classes in ((30, 39, 1), (210, 36, 8)):
+            report = max_size_search(10, ell)
+            assert (report.max_size, len(report.extremal_graphs)) == (size, classes)
+            assert report.agree
+
     def test_large_order_needs_cap(self):
         with pytest.raises(ValueError):
             max_size_search(11, 2)
@@ -674,48 +847,6 @@ class TestSearchModes:
             conjectured_max(n, ell)
         with pytest.raises(error, match=message):
             max_size_search(n, ell, jobs=0)
-
-
-class TestScanLimit:
-    @staticmethod
-    def record_scans(monkeypatch, scan):
-        seen = []
-
-        def recording(n, ell, e, prune):
-            seen.append(e)
-            return scan(n, ell, e, prune)
-
-        monkeypatch.setattr(search_mod, "_scan_edge_count", recording)
-        return seen
-
-    def test_limit_at_the_largest_scanned_count_passes(self, monkeypatch):
-        # (6, 10) scans e = 3 (C(15, 3) = 455) and wins at e = 4 (1,365).
-        seen = self.record_scans(monkeypatch, search_mod._scan_edge_count)
-        monkeypatch.setattr(search_mod, "MAX_SCAN_CANDIDATES", math.comb(15, 4))
-        assert max_size_search(6, 10).max_size == 11
-        assert seen == [3, 4]
-
-    def test_limit_below_it_stops_before_that_count(self, monkeypatch):
-        seen = self.record_scans(monkeypatch, search_mod._scan_edge_count)
-        monkeypatch.setattr(
-            search_mod, "MAX_SCAN_CANDIDATES", math.comb(15, 4) - 1
-        )
-        with pytest.raises(ValueError, match=r"C\(15, 4\) candidates"):
-            max_size_search(6, 10)
-        assert seen == [3]
-
-    def test_largest_documented_case_is_admitted(self):
-        # maxsize (8, 210) --bounded 7 in the acceptance tests and README.
-        assert math.comb(28, 7) == 1_184_040 <= search_mod.MAX_SCAN_CANDIDATES
-
-    def test_order_ten_stops_at_the_first_count_over_the_limit(self, monkeypatch):
-        seen = self.record_scans(monkeypatch, lambda n, ell, e, prune: [])
-        with pytest.raises(ValueError, match="scan limit"):
-            max_size_search(10, 210)
-        assert seen == [
-            e for e in range(5, 10) if math.comb(45, e) <= search_mod.MAX_SCAN_CANDIDATES
-        ]
-        assert seen and seen[-1] < 9
 
 
 class TestDeterminism:

@@ -125,12 +125,15 @@ def test_maxsize_reaches_every_hooked_search_layer(monkeypatch, capsys):
     assert all(isinstance(r, list) for r in results["_scan_edge_count"])
 
 
-def test_import_builds_no_type_table():
-    """The benchmark's setup_s covers the import, so the type table waits
-    for the first scan."""
+def test_import_builds_no_search_cache():
+    """The benchmark's setup_s covers the import, so every module-level
+    cache of the search (any dict, list or set it holds) stays empty until
+    the first search."""
     script = (
-        "import lightsout, lightsout.search as s;"
-        " print(len(s._FREE_TREES), len(s._CELLS))"
+        "import lightsout, lightsout.search as s\n"
+        "caches = {k: len(v) for k, v in vars(s).items()"
+        " if isinstance(v, (dict, list, set)) and not k.startswith('__')}\n"
+        "print(sorted(caches.items()))"
     )
     src = os.path.dirname(os.path.dirname(lightsout.__file__))
     done = subprocess.run(
@@ -141,7 +144,9 @@ def test_import_builds_no_type_table():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0"]
+    caches = dict(ast.literal_eval(done.stdout))
+    assert {"_LAYOUTS", "_FREE_TREES", "_CELLS"} <= set(caches)
+    assert all(size == 0 for size in caches.values()), caches
 
 
 def reject_constant(name):

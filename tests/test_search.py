@@ -503,6 +503,21 @@ class TestDedup:
     def test_orbit_of_one_edge_on_twelve_vertices(self):
         assert orbit_oracle.orbit(12, 1) == {1 << j for j in range(66)}
 
+    def test_import_builds_no_orbit_table(self):
+        """The benchmark's setup_s covers the import, so the pair layouts
+        and their orbit tables wait for the first search."""
+        script = "import lightsout, lightsout.search as s; print(len(s._LAYOUTS))"
+        src = os.path.dirname(os.path.dirname(lightsout.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
+
     def test_large_order_rejected(self):
         with pytest.raises(ValueError, match="limited to n <= 62"):
             canonical_adjacency_bits(Graph(63, [0] * 63))

@@ -125,6 +125,25 @@ def test_maxsize_reaches_every_hooked_search_layer(monkeypatch, capsys):
     assert all(isinstance(r, list) for r in results["_scan_edge_count"])
 
 
+def test_import_builds_no_type_table():
+    """The benchmark's setup_s covers the import, so the type table waits
+    for the first scan."""
+    script = (
+        "import lightsout, lightsout.search as s;"
+        " print(len(s._FREE_TREES), len(s._CELLS))"
+    )
+    src = os.path.dirname(os.path.dirname(lightsout.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
+
+
 def test_import_builds_no_search_cache():
     """The benchmark's setup_s covers the import, so every module-level
     cache of the search (any dict, list or set it holds) stays empty until

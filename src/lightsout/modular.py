@@ -9,13 +9,18 @@ invertible mod ell exactly when it has full rank over GF(p) for every prime
 p dividing ell, so is_invertible runs one elimination mod each such prime.
 
 Matrices are stored as tuples of row tuples, and the kernels work by rows.
-A product is one sum of products per row.  The diagonalisation works on D
-alone, as a list of rows, and skips the entries an operation would leave
-unchanged.  It logs its row and column operations instead of carrying
-u_inv and v_inv along, so solve applies them to one vector by replaying a
-log; the full matrices are the same replays on unit vectors, on request.
-normal_form keeps the last matrix it diagonalised with its form, so repeated
-solves on the same or an equal matrix diagonalise it once.
+A matrix-vector product on a 0/1 matrix (every graph game matrix, and every
+matrix mod 2) sums each row's support, read by one itemgetter per row that
+the matrix builds on its first product; any other matrix takes one sum of
+products per row.  The diagonalisation works on D alone, as a list of rows,
+and skips the entries an operation would leave unchanged.  It logs its row
+and column operations instead of carrying u_inv and v_inv along, so solve
+applies them to one vector by replaying a log; the full matrices are the
+same replays on unit vectors, on request.  What solve reads from the matrix
+alone, the divisors of the diagonal and the null generators, is computed
+once per form.  normal_form keeps the last two matrices it diagonalised with
+their forms, so repeated solves on the same or an equal matrix diagonalise
+it once, even when they alternate with a second matrix.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import mul
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, compress
+from operator import floordiv, itemgetter, mod, mul
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 MAX_MODULUS = 2**31 - 1
 # SolutionSet.enumerate (and count) refuse larger solution sets.
@@ -33,6 +38,8 @@ MAX_ENUMERATED_SOLUTIONS = 2**20
 
 # One logged row or column operation (i, j, coef); see NormalForm.
 _Op = Tuple[int, int, Optional[int]]
+# The entries of a matrix whose products mul_vec takes over row supports.
+_BITS = frozenset((0, 1))
 
 
 class AuditError(AssertionError):
@@ -73,10 +80,13 @@ class ZModMatrix:
 
     The entries are stored as a tuple of row tuples (``data``); ``rows`` and
     ``cols`` are the dimensions, and ``entries`` is the row-major flat tuple,
-    built on demand.  Every product is a row-by-row sum of products.
+    built on demand.  Products work row by row.  When every entry is 0 or 1,
+    ``mul_vec`` sums each row's entries of the vector at the row's 1s, read
+    by per-row getters built on the first call and kept in ``_support``;
+    otherwise, and for ``@``, each row is a sum of products.
     """
 
-    __slots__ = ("rows", "cols", "modulus", "data")
+    __slots__ = ("rows", "cols", "modulus", "data", "_support")
 
     def __init__(self, rows: int, cols: int, modulus: int, entries: Iterable[int]):
         check_modulus(modulus)
@@ -98,6 +108,7 @@ class ZModMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_support", None)
 
     @classmethod
     def _of_rows(
@@ -163,7 +174,33 @@ class ZModMatrix:
         if len(x) != self.cols:
             raise ValueError(f"vector length {len(x)} != cols {self.cols}")
         ell = self.modulus
+        support = self._support
+        if support is None:
+            support = self._support_getters()
+            object.__setattr__(self, "_support", support)
+        if support:
+            return tuple([sum(g(x)) % ell for g in support])
         return tuple([sum(map(mul, row, x)) % ell for row in self.data])
+
+    def _support_getters(self) -> Tuple[Callable, ...]:
+        """One getter per row for the vector's entries at the row's 1s, or ()
+        unless every entry is 0 or 1.
+
+        Every getter returns a sequence: itemgetter with one index would
+        return the bare entry, so rows with one 1 or none get a slice.
+        """
+        if not all(map(_BITS.issuperset, self.data)):
+            return ()
+        cols = range(self.cols)
+        getters = []
+        for row in self.data:
+            ones = tuple(compress(cols, row))
+            if len(ones) > 1:
+                getters.append(itemgetter(*ones))
+            else:
+                span = slice(ones[0], ones[0] + 1) if ones else slice(0)
+                getters.append(itemgetter(span))
+        return tuple(getters)
 
     def __matmul__(self, other: "ZModMatrix") -> "ZModMatrix":
         if self.modulus != other.modulus:
@@ -211,6 +248,8 @@ class NormalForm:
     additions only), so v_inv is the identity with them applied to its
     columns.  apply_u_inv and apply_v_inv replay a log on one vector; u_inv
     and v_inv, built on first access, are the replays on the unit vectors.
+    divisors and null_generators, also built on first access, are what
+    solve reads from the matrix alone.
     """
 
     D: ZModMatrix
@@ -228,6 +267,40 @@ class NormalForm:
         n, ell = self.D.cols, self.D.modulus
         cols = map(self.apply_v_inv, ZModMatrix.identity(n, ell).data)
         return ZModMatrix._of_rows(zip(*cols), n, ell)
+
+    @cached_property
+    def divisors(self) -> Tuple[int, ...]:
+        """m_i = d_i, or ell where d_i = 0, for i < max(rows, cols).
+
+        Past the diagonal d_i counts as 0.  So D y = c' is solvable exactly
+        when m_i divides c'_i for every row i, and the y_i with i a column
+        form Z_{ell / m_i} (the zero group where m_i = 1).
+        """
+        D = self.D
+        ell = D.modulus
+        diag = D.diag()
+        for d in diag:
+            if d and ell % d:
+                raise ValueError("normal form diagonal must divide the modulus")
+        pad = max(D.rows, D.cols) - len(diag)
+        return tuple([d or ell for d in diag]) + (ell,) * pad
+
+    @cached_property
+    def null_generators(self) -> Tuple[Tuple[int, ...], ...]:
+        """The v_inv images of (ell / m_i) e_i for the columns i with
+        m_i != 1, in column order.
+
+        They generate the solutions of M x = 0, the image under v_inv of
+        the y with D y = 0; none is zero, since v_inv is invertible.
+        """
+        ell, cols = self.D.modulus, self.D.cols
+        gens = []
+        for i, m_i in enumerate(self.divisors[:cols]):
+            if m_i != 1:
+                e = [0] * cols
+                e[i] = ell // m_i
+                gens.append(self.apply_v_inv(e))
+        return tuple(gens)
 
     def apply_u_inv(self, x: Sequence[int]) -> Tuple[int, ...]:
         """u_inv * x: the row operations, first to last, on x."""
@@ -371,23 +444,26 @@ class _Reduction:
         self.d[k][k] = g
         self.row_log.append((k, k, pow(unit_lift(d, g, ell), -1, ell)))
 
-    def find_pivot(self, k: int, end: int) -> Optional[Tuple[int, int]]:
-        """Smallest nonzero entry in rows [k, end), ties by (row, col).
+    def find_pivot(self, k: int, end: int, cend: int) -> Optional[Tuple[int, int]]:
+        """Smallest nonzero entry in rows [k, end) and columns [k, cend),
+        ties by (row, col).
 
-        Rows k.. are zero left of column k (and right of a block), so whole
-        rows can be searched.  A 1 is the smallest possible value, so the
-        first 1 in row-major order, if any, is the answer.
+        Rows k.. are zero outside those columns (left of column k, and
+        right of a 2x2 block), so the search sees every live entry.  A 1 is
+        the smallest possible value, so the first 1 in row-major order, if
+        any, is the answer.
         """
         d = self.d
         for i in range(k, end):
-            if 1 in d[i]:
-                return i, d[i].index(1)
+            seg = d[i][k:cend]
+            if 1 in seg:
+                return i, k + seg.index(1)
         best: Optional[Tuple[int, int, int]] = None
         for i in range(k, end):
-            row = d[i]
-            e = min(filter(None, row), default=0)
+            seg = d[i][k:cend]
+            e = min(filter(None, seg), default=0)
             if e and (best is None or e < best[0]):
-                best = (e, i, row.index(e))
+                best = (e, i, k + seg.index(e))
         if best is None:
             return None
         return best[1], best[2]
@@ -395,20 +471,21 @@ class _Reduction:
     def diagonalize(self, start: int = 0, end: Optional[int] = None) -> None:
         """Clear row and column k around a smallest pivot, for each k in turn.
 
-        The pass covers pivots from start on and rows [start, end); the
-        defaults cover the whole matrix.  Rows and columns before k are
-        already clear, so the pivot row's nonzero span is [k, hi) and the
-        row operations run over it alone.  Column operations touch only the
-        live rows, the rows from k on whose column k is nonzero; once the
-        row operations are done that is row k alone unless some entry below
-        the pivot left a remainder.
+        The pass covers pivots from start on; given end, it covers rows and
+        columns [start, end), a 2x2 block of fix_chain, and by default the
+        whole matrix.  Rows and columns before k are already clear, so the
+        pivot row's nonzero span is [k, hi) and the row operations run over
+        it alone.  Column operations touch only the live rows, the rows
+        from k on whose column k is nonzero; once the row operations are
+        done that is row k alone unless some entry below the pivot left a
+        remainder.
         """
         ell, d, c = self.ell, self.d, self.c
-        r = self.r if end is None else end
+        r, cend = (self.r, c) if end is None else (end, end)
         row_log, col_log = self.row_log, self.col_log
         for k in range(start, min(r, c)):
             while True:
-                piv = self.find_pivot(k, r)
+                piv = self.find_pivot(k, r, cend)
                 if piv is None:
                     return
                 self.swap_rows(k, piv[0])
@@ -473,8 +550,11 @@ class _Reduction:
                     changed = True
 
 
-# The last matrix normal_form diagonalised and its form, rebound as one tuple.
-_last: Tuple[Optional[ZModMatrix], Optional[NormalForm]] = (None, None)
+# How many recently diagonalised matrices normal_form keeps with their forms.
+_MEMO_SIZE = 2
+# The matrices normal_form diagonalised last, newest first, each with its
+# form: at most _MEMO_SIZE pairs, rebound as one tuple.
+_last: Tuple[Tuple[ZModMatrix, NormalForm], ...] = ()
 
 
 def normal_form(m: ZModMatrix) -> NormalForm:
@@ -482,12 +562,15 @@ def normal_form(m: ZModMatrix) -> NormalForm:
 
     The pivot rule (smallest nonzero value, ties by row then column) makes
     the output deterministic for a fixed input.  The form is kept with its
-    matrix, both immutable, and returned again for the same or an equal m.
+    matrix, both immutable, and returned again for the same or an equal m
+    while m is among the last _MEMO_SIZE matrices asked for.
     """
     global _last
-    last_m, last_nf = _last
-    if m is last_m or m == last_m:
-        return last_nf
+    for i, (last_m, last_nf) in enumerate(_last):
+        if m is last_m or m == last_m:
+            if i:
+                _last = ((last_m, last_nf),) + _last[:i] + _last[i + 1 :]
+            return last_nf
     work = _Reduction(m)
     work.diagonalize()
     work.fix_chain()
@@ -496,7 +579,7 @@ def normal_form(m: ZModMatrix) -> NormalForm:
         row_log=tuple(work.row_log),
         col_log=tuple(work.col_log),
     )
-    _last = (m, nf)
+    _last = ((m, nf),) + _last[: _MEMO_SIZE - 1]
     return nf
 
 
@@ -624,47 +707,22 @@ def solve(m: ZModMatrix, c: Sequence[int]) -> Optional[SolutionSet]:
     With u_inv M v_inv = D, the system becomes D y = u_inv c with x = v_inv y.
     Each coordinate equation d * y = c' (mod ell) with d | ell is solvable
     iff d | c', contributing y = c'/d and a null generator of order ell/d.
-    Repeated solves on the same or an equal m reuse its normal form.
+    The divisors and the null generators depend on m alone and are kept on
+    its normal form, which repeated solves on the same or an equal m reuse,
+    so each call pays for one u_inv and one v_inv replay, the divisibility
+    tests and the audit m x = c.
     """
     ell = m.modulus
     if len(c) != m.rows:
         raise ValueError(f"right-hand side length {len(c)} != rows {m.rows}")
     nf = normal_form(m)
-    cp = nf.apply_u_inv(c)
-    diag = nf.D.diag()
-    y = [0] * m.cols
-    # Null generators in y-coordinates, as (i, scale) for scale * e_i.
-    gens_y: List[Tuple[int, int]] = []
-    for i in range(m.rows):
-        ci = cp[i]
-        if i >= m.cols:
-            if ci != 0:
-                return None
-            continue
-        d = diag[i]
-        if d == 0:
-            if ci != 0:
-                return None
-            gens_y.append((i, 1))
-        else:
-            if ell % d != 0:
-                raise ValueError("normal form diagonal must divide the modulus")
-            if ci % d != 0:
-                return None
-            y[i] = ci // d
-            if d != 1:
-                gens_y.append((i, ell // d))
-    for j in range(m.rows, m.cols):
-        gens_y.append((j, 1))
-
+    target = tuple([x % ell for x in c])
+    cp = nf.apply_u_inv(target)
+    divisors = nf.divisors
+    if any(map(mod, cp, divisors)):
+        return None
+    y = list(map(floordiv, cp, divisors[: m.cols])) + [0] * (m.cols - m.rows)
     particular = nf.apply_v_inv(y)
-    gens = []
-    for i, scale in gens_y:
-        e = [0] * m.cols
-        e[i] = scale
-        img = nf.apply_v_inv(e)
-        if any(img):
-            gens.append(img)
-    if m.mul_vec(particular) != tuple(x % ell for x in c):
+    if m.mul_vec(particular) != target:
         raise AuditError("internal solver error: particular solution failed check")
-    return SolutionSet(particular=particular, null_generators=tuple(gens), modulus=ell)
+    return SolutionSet(particular, nf.null_generators, ell)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .game import _shift_game, exists_shift_winnable, is_AW
@@ -281,15 +282,13 @@ def _unshiftable_labeling(mat: ZModMatrix, r: int) -> Optional[Tuple[int, ...]]:
     and m'_i likewise, e_j lies in K exactly when m'_i divides entry i of
     u_inv' * e_j for every i.
     """
-    ell = mat.modulus
-    if r == math.prod(d or ell for d in normal_form(mat).D.diag()):
+    if r == math.prod(normal_form(mat).divisors):
         return None
     n = mat.rows
     joined = normal_form(_shift_game(mat))
-    mods = [d or ell for d in joined.D.diag()]
     for j in reversed(range(n)):
         e_j = tuple(int(i == j) for i in range(n))
-        if any(u % m for u, m in zip(joined.apply_u_inv(e_j), mods)):
+        if any(map(mod, joined.apply_u_inv(e_j), joined.divisors)):
             return e_j
     raise AuditError("shift subgroup is proper but every labeling is shift-winnable")
 

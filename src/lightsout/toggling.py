@@ -133,8 +133,7 @@ def minimal_nonempty_r(m: ZModMatrix, u_set: Iterable[int]) -> int:
     ell = m.modulus
     w = nf.apply_u_inv([int(v in u) for v in range(m.rows)])
     order = 1
-    for d, w_i in zip(nf.D.diag(), w):
-        m_i = d or ell
+    for m_i, w_i in zip(nf.divisors, w):
         order = math.lcm(order, m_i // math.gcd(w_i, m_i))
     return 0 if order == ell else order
 

@@ -9,11 +9,12 @@ import lightsout.modular as modular_mod
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """Empty normal_form's one-matrix memo, and return a function that
-    empties it again; the pair held before the test returns after it."""
+    """Empty normal_form's memo of its last matrices, both entries, and
+    return a function that empties it again; the pairs held before the
+    test return after it."""
 
     def reset() -> None:
-        monkeypatch.setattr(modular_mod, "_last", (None, None))
+        monkeypatch.setattr(modular_mod, "_last", ())
 
     reset()
     return reset

@@ -182,6 +182,109 @@ class TestZModMatrix:
         assert sol.null_generators == tuple(ZModMatrix.identity(c, 6).data)
 
 
+def plain_mul_vec(m: ZModMatrix, x) -> tuple:
+    """m x as one sum(a * b) per row: the slow path of mul_vec."""
+    return tuple(sum(a * b for a, b in zip(row, x)) % m.modulus for row in m.data)
+
+
+def as_each_sequence(x: list):
+    """x as a list, a tuple and (where its steps allow) a range."""
+    yield x
+    yield tuple(x)
+    if len(x) < 2 or len(set(b - a for a, b in zip(x, x[1:]))) == 1:
+        step = x[1] - x[0] if len(x) > 1 and x[1] != x[0] else 1
+        yield range(x[0], x[0] + step * len(x), step) if x else range(0)
+
+
+class TestSupportProduct:
+    """mul_vec's row-support path on 0/1 matrices against plain_mul_vec."""
+
+    @staticmethod
+    def zero_one_matrix(rng: random.Random, r: int, c: int, ell: int) -> ZModMatrix:
+        # Every row kind: no 1s, one 1, all 1s, and random density.
+        rows = []
+        for i in range(r):
+            kind = rng.randrange(4)
+            row = [0] * c
+            if kind == 1 and c:
+                row[rng.randrange(c)] = 1
+            elif kind == 2:
+                row = [1] * c
+            elif kind == 3:
+                row = [int(rng.random() < rng.random()) for _ in range(c)]
+            rows.append(row)
+        return ZModMatrix(r, c, ell, [e for row in rows for e in row])
+
+    @staticmethod
+    def vectors(rng: random.Random, c: int, ell: int):
+        # Negative and unreduced entries, as each sequence type.
+        yield from as_each_sequence([rng.randrange(-3 * ell, 3 * ell) for _ in range(c)])
+        start = rng.randrange(-2 * ell, 2 * ell)
+        yield range(start, start + 3 * c, 3)
+        yield range(start, start - 2 * c, -2)
+
+    @pytest.mark.parametrize("ell", [2, 3, 6, 30, MAX_MODULUS])
+    def test_matches_plain_products(self, ell):
+        rng = random.Random(2900 + ell)
+        for r in range(7):
+            for c in range(7):
+                general = ZModMatrix(r, c, ell, [rng.randrange(ell) for _ in range(r * c)])
+                for m in (self.zero_one_matrix(rng, r, c, ell), general):
+                    for x in self.vectors(rng, c, ell):
+                        assert m.mul_vec(x) == plain_mul_vec(m, x), (m, x)
+                        assert type(m.mul_vec(x)) is tuple
+
+    def test_edge_shapes_and_rows(self):
+        for m, x in [
+            (ZModMatrix(0, 4, 3, []), [1, -2, 7, 5]),
+            (ZModMatrix(4, 0, 3, []), []),
+            (ZModMatrix(1, 1, 3, [1]), [-4]),
+            (ZModMatrix(1, 1, 3, [0]), [5]),
+            (ZModMatrix(1, 1, 2, [3]), (9,)),
+            # A row with one 1 at each end and in the middle, none, all.
+            (ZModMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]], 5), [7, -8, 9]),
+            (ZModMatrix.from_rows([[0, 0, 0], [1, 1, 1]], 5), range(-1, 2)),
+        ]:
+            assert m.mul_vec(x) == plain_mul_vec(m, x), (m, x)
+        assert ZModMatrix(4, 0, 3, []).mul_vec([]) == (0, 0, 0, 0)
+        assert ZModMatrix(1, 1, 3, [1]).mul_vec([-4]) == (2,)
+
+    def test_path_taken(self):
+        # Getters are built on the first product and only for 0/1 entries;
+        # one entry of 2 or more sends the whole matrix to the dense path.
+        built = [
+            ZModMatrix(2, 2, 5, [1, 0, 1, 1]),
+            ZModMatrix.from_rows([[0, 1], [1, 1]], 5),
+            ZModMatrix.identity(3, 5),
+            ZModMatrix.diagonal([1, 0], 5),
+            ZModMatrix.from_rows([[1, 0], [0, 2]], 5),
+            # Reduced mod 4 this is the identity, so it has getters.
+            ZModMatrix.from_rows([[5, 4], [0, 1]], 4),
+        ]
+        assert all(m._support is None for m in built)
+        for m in built:
+            x = list(range(-1, m.cols - 1))
+            assert m.mul_vec(x) == plain_mul_vec(m, x)
+        assert [len(m._support) for m in built] == [2, 2, 3, 2, 0, 2]
+        rng = random.Random(29)
+        for ell in (3, 6, 30):
+            for n in range(1, 6):
+                entries = [rng.randrange(2) for _ in range(n * n)]
+                entries[rng.randrange(n * n)] = rng.randrange(2, ell)
+                m = ZModMatrix(n, n, ell, entries)
+                x = [rng.randrange(-ell, ell) for _ in range(n)]
+                assert m.mul_vec(x) == plain_mul_vec(m, x)
+                assert m._support == (), m
+
+    def test_mod_two_is_always_zero_one(self):
+        rng = random.Random(2)
+        for n in range(1, 8):
+            m = ZModMatrix(n, n, 2, [rng.randrange(-5, 5) for _ in range(n * n)])
+            x = [rng.randrange(-5, 5) for _ in range(n)]
+            assert m.mul_vec(x) == plain_mul_vec(m, x)
+            assert len(m._support) == n
+
+
 class TestUnitLift:
     @pytest.mark.parametrize("ell", RINGS_TO_TEST)
     def test_lift_is_unit_and_consistent(self, ell):
@@ -423,6 +526,20 @@ class TestNormalForm:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_memo_keeps_the_last_two_matrices(self, reductions):
+        a = ZModMatrix.identity(2, 6)
+        b = ZModMatrix.diagonal([2, 3], 6)
+        c = ZModMatrix.diagonal([3, 1], 6)
+        for m in (a, b, a, b, ZModMatrix.diagonal([2, 3], 6), a):
+            normal_form(m)
+        assert reductions == [a, b]
+        # c evicts b, the matrix asked for least recently.
+        normal_form(c)
+        normal_form(a)
+        assert reductions == [a, b, c]
+        normal_form(b)
+        assert reductions == [a, b, c, b]
 
     def test_deterministic(self, fresh_memo):
         rng = random.Random(5)

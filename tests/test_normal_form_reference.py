@@ -357,6 +357,65 @@ class TestSolveMatchesReference:
             assert m.mul_vec(x) == ref_mul_vec(m, x)
 
 
+def ref_null_generators(m: ZModMatrix) -> Tuple[Tuple[int, ...], ...]:
+    """(ell / m_i) times column i of v_inv for each column i with m_i != 1,
+    where m_i is d_i, or ell where d_i is 0 or i is past the diagonal."""
+    nf = normal_form(m)
+    ell = m.modulus
+    diag = nf.D.diag()
+    gens = []
+    for i in range(m.cols):
+        m_i = (diag[i] if i < len(diag) else 0) or ell
+        if m_i != 1:
+            gens.append(tuple(ell // m_i * v % ell for v in nf.v_inv.col(i)))
+    return tuple(gens)
+
+
+class TestCachedSolveData:
+    """What solve reads from the normal form alone, computed once per form."""
+
+    @pytest.mark.parametrize("ell", [2, 4, 6, 12, 30])
+    def test_generators_are_scaled_v_inv_columns(self, ell):
+        rng = random.Random(2950 + ell)
+        for r in range(1, 7):
+            for c in range(1, 7):
+                m = ZModMatrix(r, c, ell, [rng.randrange(ell) for _ in range(r * c)])
+                sol = solve(m, m.mul_vec([rng.randrange(ell) for _ in range(c)]))
+                assert sol.null_generators == ref_null_generators(m), m
+
+    @pytest.mark.parametrize("ell", [2, 3, 6, 30])
+    def test_two_right_hand_sides_share_the_generators(self, ell):
+        rng = random.Random(2960 + ell)
+        for k in range(2, 6):
+            for m in (grid_matrix(k, ell), adjacency_matrix(grid_graph(k), ell)):
+                first, second = (
+                    solve(m, m.mul_vec([rng.randrange(ell) for _ in range(k * k)]))
+                    for _ in range(2)
+                )
+                # One tuple, kept on the form, serves every right-hand side.
+                assert first.null_generators is second.null_generators
+                assert first.null_generators == ref_null_generators(m)
+
+    def test_divisors_are_padded(self):
+        nf = normal_form(ZModMatrix.from_rows([[2, 0, 0], [0, 0, 0]], 6))
+        assert nf.D.diag() == (2, 0)
+        assert nf.divisors == (2, 6, 6)
+        nf = normal_form(ZModMatrix.from_rows([[1], [0], [0]], 6))
+        assert nf.divisors == (1, 6, 6)
+
+    def test_a_diagonal_entry_that_does_not_divide_the_modulus_raises(
+        self, monkeypatch
+    ):
+        m = ZModMatrix.from_rows([[2, 0], [0, 4]], 6)
+        bad = modular_mod.NormalForm(D=m, row_log=(), col_log=())
+        monkeypatch.setattr(modular_mod, "normal_form", lambda _: bad)
+        with pytest.raises(ValueError, match="must divide the modulus"):
+            solve(m, [0, 0])
+        # Also when the coordinate before the bad entry has no solution.
+        with pytest.raises(ValueError, match="must divide the modulus"):
+            solve(m, [1, 0])
+
+
 class TestLogReplay:
     """NormalForm's log replays against the reference kernel's carried P and Q."""
 
@@ -381,17 +440,19 @@ class TestLogReplay:
 
 
 class TestMemoMatchesReference:
-    """solve and winnable through normal_form's one-matrix memo against
-    ref_solve: on a cold memo, on the warm memo, after another matrix has
-    replaced it, and on an equal copy that is another object."""
+    """solve and winnable through normal_form's memo of its last two
+    matrices against ref_solve: on a cold memo, on the warm memo, with one
+    other matrix asked for in between, after two others have replaced it,
+    and on an equal copy that is another object."""
 
     @staticmethod
     def check_states(m: ZModMatrix, c, fresh_memo) -> None:
         # Same shape and modulus, one entry off, so only the entries tell
-        # it from m.
+        # it from m; and m with one more zero row.
         rows = m.to_rows() or [[0]]
         rows[-1][-1] += 1
         other = ZModMatrix.from_rows(rows, m.modulus)
+        taller = ZModMatrix(m.rows + 1, m.cols, m.modulus, m.entries + (0,) * m.cols)
         want = ref_solve(m, c)
         pi = [-x for x in c]
         copy = ZModMatrix.from_rows(m.to_rows(), m.modulus)
@@ -401,16 +462,25 @@ class TestMemoMatchesReference:
             assert (got and (got.particular, got.null_generators)) == want, (mat, c)
             assert winnable(mat, pi) == (want and want[0]), (mat, pi)
 
+        def held():
+            return [mat for mat, _ in modular_mod._last]
+
         fresh_memo()
         check(m)
-        assert modular_mod._last[0] is m
+        assert held() == [m] and held()[0] is m
         check(m)
         solve(other, [0] * other.rows)
-        assert modular_mod._last[0] is other
+        assert held()[0] is other
+        check(m)
+        # The second entry served m and moved it to the front.
+        assert held()[0] is m and held()[1] is other
+        solve(other, [0] * other.rows)
+        solve(taller, [0] * taller.rows)
+        assert held() == [taller, other]
         check(m)
         check(copy)
         # The equal copy was served the stored form of m.
-        assert modular_mod._last[0] is m
+        assert held()[0] is m
 
     @pytest.mark.parametrize("ell", DIFFERENTIAL_MODULI)
     def test_differential_corpus(self, ell, fresh_memo):

@@ -209,7 +209,7 @@ class TestMinimalNonemptyR:
             u = [v for v in range(n) if rng.random() < 0.6]
             fresh_memo()
             cold = minimal_nonempty_r(m, u)
-            assert modular_mod._last[0] is m
+            assert modular_mod._last[0][0] is m
             assert minimal_nonempty_r(m, u) == cold
 
     @pytest.mark.parametrize("ell", [2, 3, 4, 6, 8, 9, 12, 30, 210])

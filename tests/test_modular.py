@@ -187,15 +187,6 @@ def plain_mul_vec(m: ZModMatrix, x) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, x)) % m.modulus for row in m.data)
 
 
-def as_each_sequence(x: list):
-    """x as a list, a tuple and (where its steps allow) a range."""
-    yield x
-    yield tuple(x)
-    if len(x) < 2 or len(set(b - a for a, b in zip(x, x[1:]))) == 1:
-        step = x[1] - x[0] if len(x) > 1 and x[1] != x[0] else 1
-        yield range(x[0], x[0] + step * len(x), step) if x else range(0)
-
-
 class TestSupportProduct:
     """mul_vec's row-support path on 0/1 matrices against plain_mul_vec."""
 
@@ -216,19 +207,20 @@ class TestSupportProduct:
         return ZModMatrix(r, c, ell, [e for row in rows for e in row])
 
     @staticmethod
-    def vectors(rng: random.Random, c: int, ell: int):
-        # Negative and unreduced entries, as each sequence type.
-        yield from as_each_sequence([rng.randrange(-3 * ell, 3 * ell) for _ in range(c)])
+    def vectors(rng: random.Random, c: int, ell: int) -> list:
+        # Negative and unreduced entries, as a list, a tuple and ranges.
+        x = [rng.randrange(-3 * ell, 3 * ell) for _ in range(c)]
         start = rng.randrange(-2 * ell, 2 * ell)
-        yield range(start, start + 3 * c, 3)
-        yield range(start, start - 2 * c, -2)
+        up, down = range(start, start + 3 * c, 3), range(start, start - 2 * c, -2)
+        return [x, tuple(x), up, down]
 
     @pytest.mark.parametrize("ell", [2, 3, 6, 30, MAX_MODULUS])
     def test_matches_plain_products(self, ell):
         rng = random.Random(2900 + ell)
         for r in range(7):
             for c in range(7):
-                general = ZModMatrix(r, c, ell, [rng.randrange(ell) for _ in range(r * c)])
+                entries = [rng.randrange(ell) for _ in range(r * c)]
+                general = ZModMatrix(r, c, ell, entries)
                 for m in (self.zero_one_matrix(rng, r, c, ell), general):
                     for x in self.vectors(rng, c, ell):
                         assert m.mul_vec(x) == plain_mul_vec(m, x), (m, x)

@@ -111,7 +111,7 @@ class TestThm36:
     def test_each_game_is_diagonalised_once(self, reductions):
         """The witness check replays shifts on the adjacency matrix just
         after [A | 1] was diagonalised; the memo's second entry still holds
-        A, so no matrix is diagonalised twice (820 were before)."""
+        A, so no matrix is diagonalised twice."""
         (res,) = run_suite("thm-3-6")
         assert res.passed, res.failures
         assert len(set(reductions)) == len(reductions) == 2352

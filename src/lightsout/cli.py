@@ -32,7 +32,7 @@ from .graphs import (
     neighborhood_matrix,
 )
 from .modular import MAX_ENUMERATED_SOLUTIONS, ZModMatrix
-from .search import FULL_ENUMERATION_MAX_N, max_size_search
+from .search import max_size_search
 from .toggling import minimal_nonempty_r, toggling_numbers
 from .verify import run_suite, suite_names
 
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n",
         type=int,
         required=True,
-        help=f"number of vertices, at most {FULL_ENUMERATION_MAX_N}",
+        help=f"number of vertices, at most {GRAPH6_MAX_N}",
     )
     mx.add_argument("--modulus", type=int, required=True)
     mx.add_argument("--bounded", type=int, help="cap on complement edges")

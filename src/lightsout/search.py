@@ -6,7 +6,8 @@ size among complements of N-AW graphs, and the complement size is pinned
 to the window [floor(n/2), n-1].  Scanning complement edge counts in
 increasing order and stopping at the first count that admits an N-AW
 complement therefore finds the maximum and every class of graphs
-achieving it.
+achieving it.  Every order up to GRAPH6_MAX_N is searched, and the scan
+never builds a type with 2m - k above MAX_TYPE_EXCESS.
 
 An edge count is decided from component types, not labeled complements.
 By the matrix determinant lemma, det(J - B) for G's neighborhood matrix
@@ -55,11 +56,11 @@ RULE_EVEN_EVEN = "even_even"
 PROVEN = "PROVEN"
 LOWER_BOUND = "LOWER_BOUND"
 
-# Largest order any search accepts.  The type table (_cell) that decides
-# each edge count has no size bound of its own yet, so the order stays where
-# every modulus has been measured: at n = 10 the slowest, ell = 210, takes
-# about 0.22 s, nearly all of it building the table.
-FULL_ENUMERATION_MAX_N = 10
+# Largest 2m - k of a type the scan builds, so it tries only edge counts e
+# with 2e - n + 1 <= MAX_TYPE_EXCESS; that table takes 4-9 s and at most 27 MB
+# cold on 2 vCPUs.  Every search up to GRAPH6_MAX_N stops by e = n/2 + 5
+# (TestCertificate in the tests), so passing the bound is an AuditError.
+MAX_TYPE_EXCESS = 11
 
 # Most search-tree nodes one canonical form may visit before _canonical_form
 # raises ValueError.  The worst graphs measured, complements of disjoint
@@ -605,49 +606,41 @@ def max_size_search(
     """Maximum N-AW size on n vertices over Z_ell, with all extremal graphs.
 
     Complement edge counts are scanned upward from floor(n/2); the scan
-    stops at the first count admitting a winner, which a full search is
-    guaranteed to reach by n - 1.  bounded_cap limits the scan to
-    complements of at most that many edges and raises RuntimeError if the
-    cap is exhausted first.  An order above FULL_ENUMERATION_MAX_N raises
-    ValueError before any scan.  Each winning layout is canonicalised once,
-    and each class's representative is audited by its automorphism count
-    and by the diagonalization route.  jobs must be positive but changes
-    nothing: the search runs in this process.
+    stops at the first count admitting a winner.  No winner by n - 1 (where
+    a pendant tree always wins) or by the last count within MAX_TYPE_EXCESS
+    raises AuditError; a bounded_cap below that limit raises RuntimeError
+    when it runs out.  An order above GRAPH6_MAX_N raises ValueError before
+    any scan.  Each winning layout is canonicalised once, and each class's
+    representative is audited by its automorphism count and by the
+    diagonalization route.  jobs must be positive but changes nothing.
     """
     started = time.perf_counter()
     conj = conjectured_max(n, ell)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if n > FULL_ENUMERATION_MAX_N:
-        raise ValueError(
-            f"the search is limited to n <= {FULL_ENUMERATION_MAX_N}, got n = {n}"
-        )
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"the search is limited to n <= {GRAPH6_MAX_N}, got n = {n}")
     if bounded_cap is not None:
         if not isinstance(bounded_cap, int) or isinstance(bounded_cap, bool):
             raise TypeError("bounded_cap must be an int or None")
         if bounded_cap < 0:
             raise ValueError(f"bounded_cap must be nonnegative, got {bounded_cap}")
 
-    npairs = math.comb(n, 2)
-    e_stop = npairs if bounded_cap is None else min(bounded_cap, npairs)
-    winners: List[int] = []
-    found_e = None
+    limit = min(n - 1, (MAX_TYPE_EXCESS + n - 1) // 2)
+    e_stop = limit if bounded_cap is None else min(bounded_cap, limit)
     for e in range(n // 2, e_stop + 1):
         winners = _scan_edge_count(n, ell, e, prune)
         if winners:
-            found_e = e
             break
-    if found_e is None:
-        raise RuntimeError(
-            f"no always-winnable graph found with complement size <= {e_stop};"
-            " raise the cap"
-        )
-    if found_e > n - 1:
-        raise AuditError(
-            f"winner first appeared at complement size {found_e} > n - 1,"
-            " above the pendant-tree guarantee"
-        )
-    max_size = npairs - found_e
+    else:
+        if e_stop < limit:
+            raise RuntimeError(
+                f"no always-winnable graph found with complement size <= {e_stop};"
+                " raise the cap"
+            )
+        raise AuditError(f"no winner with complement size <= {limit}, the scan limit")
+    npairs = math.comb(n, 2)
+    max_size = npairs - e
 
     full = (1 << npairs) - 1
     rep_masks = _canonical_reps_of_closed_set(n, [full ^ w for w in winners])

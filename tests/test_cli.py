@@ -431,23 +431,36 @@ class TestMaxsizeCommand:
     def test_orders_past_the_wall_exit_two_before_any_scan(
         self, capsys, monkeypatch, n, bounded
     ):
-        def refuse(*args):
-            raise AssertionError("scanned past the order wall")
-
-        monkeypatch.setattr(search_mod, "_scan_edge_count", refuse)
+        """Orders past GRAPH6_MAX_N exit 2 before any scan, capped or not.
+        11 and 40, past the old wall at 10, now answer, or exit 1 when the
+        cap is below their first winning complement size."""
         argv = ["maxsize", "--n", n, "--modulus", "30"]
         if bounded is not None:
             argv += ["--bounded", n if bounded == "n" else bounded]
+        if int(n) <= GRAPH6_MAX_N:
+            first = {"11": 5, "40": 21}[n]
+            code, payload, err = run_cli(capsys, argv)
+            if bounded is not None and int(argv[-1]) < first:
+                assert code == 1 and "raise the cap" in err
+                assert payload["result"] == {"exhausted": True, "max_size": None}
+            else:
+                assert code == 0
+                assert payload["result"]["max_size"] == int(n) * (int(n) - 1) // 2 - first
+            return
+
+        def refuse(*args):
+            raise AssertionError("scanned past the order bound")
+
+        monkeypatch.setattr(search_mod, "_scan_edge_count", refuse)
         code, payload, err = run_cli(capsys, argv)
         assert code == 2 and payload is None
-        assert "error: the search is limited to n <= 10" in err
+        assert f"error: the search is limited to n <= {GRAPH6_MAX_N}" in err
         assert "cap" not in err
 
-    def test_n_help_names_the_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli_mod, "FULL_ENUMERATION_MAX_N", 12)
+    def test_n_help_names_the_limit(self, capsys):
         with pytest.raises(SystemExit):
             main(["maxsize", "--help"])
-        assert "number of vertices, at most 12" in capsys.readouterr().out
+        assert f"number of vertices, at most {GRAPH6_MAX_N}" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from lightsout.cli import MAX_MATRIX_DIM, main
 from lightsout.graphs import GRAPH6_MAX_N
 from lightsout.modular import MAX_MODULUS
-from lightsout.search import FULL_ENUMERATION_MAX_N
 
 DEADLINE_S = 2.0
 # Matrix file paths in the grammar name this directory; each test run
@@ -46,8 +45,9 @@ VALID = {
     "label": ["0", "1", "-1", "7", str(10**30)],
     "subset": ["all", "0", "0,1", "0,0"],
     "r": ["0", "1", "-5", str(10**30)],
-    # Valid searches stay at n <= 7, so the test stays fast.
-    "n": ["2", "3", "4", "5", "6", "7"],
+    # Small orders and two past the old wall at 10; every modulus here
+    # answers at n = 11 and 40 in well under the deadline.
+    "n": ["2", "3", "4", "5", "6", "7", "11", "40"],
     "bounded": [None, "2", "3", "5", "25", "n"],
     "jobs": ["1"],
     "csv": [f"{DIR}/table.csv"],
@@ -76,7 +76,7 @@ BAD = {
     "label": ["x", ""],
     "subset": ["99", "-1", "x", ""],
     "r": ["abc"],
-    "n": ["0", "1", "-3", "11", "40", "63", "2000000", "x"],
+    "n": ["0", "1", "-3", "63", "2000000", "x"],
     "bounded": ["0", "-1", "y"],
     "jobs": ["0", "-2", "z"],
     "csv": [DIR],
@@ -142,7 +142,7 @@ def expected_two(argv) -> bool:
     values = dict(zip(argv, argv[1:]))
     if argv[0] == "maxsize":
         n = values["--n"]
-        if n.isdigit() and int(n) > FULL_ENUMERATION_MAX_N:
+        if n.isdigit() and int(n) > GRAPH6_MAX_N:
             return True
         jobs = values.get("--jobs", "1")
         if jobs.lstrip("-").isdigit() and int(jobs) < 1:
@@ -205,7 +205,7 @@ def matrix_dir(tmp_path_factory):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(argv=st.one_of(argvs(bad=False), argvs(bad=True)))
-@example(argv=["maxsize", "--n", "11", "--modulus", "30", "--bounded", "3"])
+@example(argv=["maxsize", "--n", "11", "--modulus", "30", "--bounded", "11"])
 @example(argv=["maxsize", "--n", "2000000", "--modulus", "30", "--bounded", "2000000"])
 @example(argv=["winnable", "--graph", "path100000", "--modulus", "2"])
 @example(argv=["toggling", "--graph", "cycle3000", "--modulus", "2"])

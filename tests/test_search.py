@@ -16,6 +16,7 @@ import types
 import networkx as nx
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ import orbit_oracle
 import lightsout.search as search_mod
 from lightsout.game import is_AW
 from lightsout.graphs import (
+    GRAPH6_MAX_N,
     Graph,
     complement,
     complete_graph,
@@ -40,7 +42,14 @@ from lightsout.graphs import (
     path_graph,
     star_graph,
 )
-from lightsout.modular import AuditError, ZModMatrix, det_int, is_invertible, normal_form
+from lightsout.modular import (
+    MAX_MODULUS,
+    AuditError,
+    ZModMatrix,
+    det_int,
+    is_invertible,
+    normal_form,
+)
 from lightsout.search import (
     LOWER_BOUND,
     PROVEN,
@@ -354,8 +363,9 @@ def cell_invariant(g: nx.Graph):
 
 class TestTypeTable:
     def test_free_tree_counts(self):
-        counts = [len(search_mod._free_trees(k)) for k in range(1, 11)]
-        assert counts == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+        # OEIS A000055 up to 13 vertices, the largest type MAX_TYPE_EXCESS admits
+        counts = [len(search_mod._free_trees(k)) for k in range(1, 14)]
+        assert counts == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_free_trees_are_distinct_trees(self, k):
@@ -811,21 +821,23 @@ class TestSearchModes:
             max_size_search(6, 10, bounded_cap=3)
 
     def test_prune_audit_identical_findings(self):
-        pruned = max_size_search(6, 30, prune=True)
-        unpruned = max_size_search(6, 30, prune=False)
-        assert pruned.search_method == "pruned"
-        assert unpruned.search_method == "full"
-        assert (
-            pruned.max_size,
-            pruned.extremal_graphs,
-            pruned.agree,
-            pruned.conjectured,
-        ) == (
-            unpruned.max_size,
-            unpruned.extremal_graphs,
-            unpruned.agree,
-            unpruned.conjectured,
-        )
+        # (12, 30030) first wins at e = n/2 + 5, the deepest offset any search needs.
+        for n, ell in ((6, 30), (12, 30030)):
+            pruned = max_size_search(n, ell, prune=True)
+            unpruned = max_size_search(n, ell, prune=False)
+            assert pruned.search_method == "pruned"
+            assert unpruned.search_method == "full"
+            assert (
+                pruned.max_size,
+                pruned.extremal_graphs,
+                pruned.agree,
+                pruned.conjectured,
+            ) == (
+                unpruned.max_size,
+                unpruned.extremal_graphs,
+                unpruned.agree,
+                unpruned.conjectured,
+            )
 
     def test_order_ten_decides_every_modulus_tried(self):
         # (10, 30) and (10, 210) were refused while winners were expanded
@@ -835,9 +847,17 @@ class TestSearchModes:
             assert (report.max_size, len(report.extremal_graphs)) == (size, classes)
             assert report.agree
 
-    def test_large_order_needs_cap(self):
-        with pytest.raises(ValueError):
-            max_size_search(11, 2)
+    def test_large_order_needs_cap(self, monkeypatch):
+        """Orders past GRAPH6_MAX_N are refused before any scan, capped or not."""
+
+        def refuse(*args):
+            raise AssertionError("scanned past the order bound")
+
+        monkeypatch.setattr(search_mod, "_scan_edge_count", refuse)
+        for n in (63, 2_000_000):
+            for cap in (None, 3, n):
+                with pytest.raises(ValueError, match="limited to n <= 62"):
+                    max_size_search(n, 2, bounded_cap=cap)
 
     @pytest.mark.parametrize("bad", [-1, "7"])
     def test_cap_validated(self, bad):
@@ -862,6 +882,119 @@ class TestSearchModes:
             conjectured_max(n, ell)
         with pytest.raises(error, match=message):
             max_size_search(n, ell, jobs=0)
+
+
+class TestPastOrderTen:
+    """Orders the search refused while it walked labeled complements."""
+
+    @pytest.mark.parametrize(
+        "n, ell, size, classes, member",
+        [
+            (12, 2310, 56, 1, None),
+            (12, 30030, 55, 22, None),
+            (14, 30030, 80, 1, None),
+            (16, 30030, 108, 2, None),
+            (20, 1939938, 175, 8, None),
+            (62, 30, 1860, 1, complement(matching_graph(62))),
+            (62, 61, 1859, 2, triangle_family_graph(62)),
+        ],
+    )
+    def test_maximum_and_classes(self, n, ell, size, classes, member):
+        report = max_size_search(n, ell)
+        assert (report.max_size, len(report.extremal_graphs)) == (size, classes)
+        if member is not None:
+            assert canonical_g6(member) in report.extremal_graphs
+
+
+class TestScanLimit:
+    """The scan stops at the lesser of n - 1 and the last edge count whose
+    types fit MAX_TYPE_EXCESS: 7 at n = 8 and 25 at n = 40."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        counts = []
+
+        def no_winner(n, ell, e, prune):
+            counts.append(e)
+            return []
+
+        monkeypatch.setattr(search_mod, "_scan_edge_count", no_winner)
+        return counts
+
+    @pytest.mark.parametrize(
+        "n, last, cap", [(8, 7, None), (8, 7, 7), (8, 7, 100), (40, 25, None), (40, 25, 39)]
+    )
+    def test_no_winner_by_the_limit_is_an_audit_failure(self, scanned, n, last, cap):
+        with pytest.raises(AuditError, match="no winner"):
+            max_size_search(n, 30, bounded_cap=cap)
+        assert scanned == list(range(n // 2, last + 1))
+
+    @pytest.mark.parametrize("n, cap", [(8, 6), (8, 2), (40, 24)])
+    def test_cap_below_the_limit_runs_out(self, scanned, n, cap):
+        with pytest.raises(RuntimeError, match="raise the cap"):
+            max_size_search(n, 30, bounded_cap=cap)
+        assert scanned == list(range(n // 2, cap + 1))
+
+
+def coprime_blocker(values, ell=2):
+    """An even squarefree multiple of ell, at most MAX_MODULUS, that shares a
+    prime with every value, or None.  Any such modulus holds a prime of the
+    first value coprime to ell, so branching on those primes is exhaustive."""
+    v = next((v for v in values if math.gcd(v, ell) == 1), None)
+    if v is None:
+        return ell
+    for p in sympy.primefactors(v):
+        if ell * p <= MAX_MODULUS:
+            found = coprime_blocker(values, ell * p)
+            if found is not None:
+                return found
+    return None
+
+
+def union_dets(n, t_max):
+    """The nonzero |det(J - B)| over every complement B with at most
+    n/2 + t_max edges on an even number n of vertices, prune off: the
+    multisets _scan_edge_count walks, merged by their (D, S) terms."""
+    top = 2 * t_max + 1
+    keys = [
+        (2 * m - k, k, terms)
+        for k in range(3, top + 3)
+        for m in range(k - 1, min(math.comb(k, 2), (top + k) // 2) + 1)
+        for terms in search_mod._cell(k, m)
+    ]
+    # (vertices, D, S) of the multisets of types, by their total 2m - k
+    sums = [{(0, 1, 0)}] + [set() for _ in range(top)]
+    for x in range(1, top + 1):
+        for kx, k, (d, s) in keys:
+            if kx <= x:
+                sums[x] |= {(v + k, dd * d, ss * d + s * dd) for v, dd, ss in sums[x - kx]}
+    values = set()
+    for x, found in enumerate(sums):
+        ones = x % 2  # an odd total needs the isolated vertex
+        for v, dd, ss in found:
+            spare = n - ones - v
+            if spare >= 0 and spare % 2 == 0:
+                terms = [(dd, ss)] + [(0, 1)] * ones
+                values.add(abs(search_mod._union_det(terms, spare // 2)))
+    return sorted(values - {0})
+
+
+class TestCertificate:
+    """Every search stops by e = n/2 + 5, so no admitted input reaches
+    MAX_TYPE_EXCESS = 11 = 2 * 5 + 1.  Odd n, and even n with odd ell, stop
+    by e = n/2 + 1 (the paper's closed forms); for even n and even ell, no
+    modulus up to MAX_MODULUS defeats every complement with e <= n/2 + 5.
+    The table these tests build is the one the deepest searches share."""
+
+    @pytest.mark.parametrize("n", range(2, GRAPH6_MAX_N + 1, 2))
+    def test_no_even_modulus_defeats_offset_five(self, n):
+        assert coprime_blocker(union_dets(n, 5)) is None
+
+    @pytest.mark.parametrize("n, ell", [(12, 30030), (20, 1939938), (62, 1882672890)])
+    def test_some_even_modulus_defeats_offset_four(self, n, ell):
+        values = union_dets(n, 4)
+        assert coprime_blocker(values) is not None
+        assert all(math.gcd(v, ell) > 1 for v in values)
 
 
 class TestDeterminism:
